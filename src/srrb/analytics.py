@@ -149,14 +149,14 @@ def pseudo_regret(instance: Instance, pulls) -> np.ndarray:
         raise ValueError("pull sequence longer than the horizon")
     if pulls.size and (pulls.min() < 0 or pulls.max() >= instance.num_arms):
         raise ValueError("invalid arm index in pull sequence")
-    star = instance.optimal_arm
-    counts = np.zeros(instance.num_arms, dtype=np.int64)
     got = np.empty(pulls.size)
-    for t, arm in enumerate(pulls):
-        counts[arm] += 1
-        got[t] = instance.expected_reward(int(arm), int(counts[arm]))
-    best = instance.expected_rewards(star)[: pulls.size]
-    return np.cumsum(best) - np.cumsum(got)
+    for i in range(instance.num_arms):
+        # the n-th round that pulls arm i collects mu_i(n)
+        mine = pulls == i
+        got[mine] = instance.expected_rewards(i)[: np.count_nonzero(mine)]
+    best = instance.expected_rewards(instance.optimal_arm)[: pulls.size]
+    # cumsum adds in sequence, so each entry is bit for bit a round loop's running sum
+    return np.cumsum(best - got)
 
 
 def wald_regret_bound(instance: Instance, pull_counts) -> float:

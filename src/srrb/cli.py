@@ -11,13 +11,14 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
 from . import __version__
 from .analytics import build_report
 from .constructions import lower_bound_instances
-from .harness import run_batch, sweep
+from .harness import SWEEP_AXES, run_batch, sweep
 from .instance import Instance, InvalidInstanceError, dump_instance
 from .policies import PolicyConfig
 from .verify import SUITES, run_suites
@@ -78,6 +79,20 @@ def _policy_from_spec(spec: dict) -> PolicyConfig:
         raise ConfigError(f"bad policy entry: {exc}") from None
 
 
+def _is_int(value) -> bool:
+    """JSON integers only: ``bool`` is an ``int`` subclass but no count."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _grid_value_ok(axis: str, value) -> bool:
+    """A finite exponent, or a non-negative whole number of forced pulls."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    if axis == "window_exponent":
+        return math.isfinite(value)
+    return value >= 0 and float(value).is_integer()
+
+
 def _canonical_hash(document: dict) -> str:
     blob = json.dumps(document, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()
@@ -85,13 +100,6 @@ def _canonical_hash(document: dict) -> str:
 
 def _format_float(x: float) -> str:
     return f"{x:.12g}"
-
-
-def _write_aggregate_csv(path: Path, aggregate) -> None:
-    lines = ["grid_t,mean_regret,std_regret"]
-    for t, m, s in zip(aggregate.grid, aggregate.mean_regret, aggregate.std_regret):
-        lines.append(f"{int(t)},{_format_float(float(m))},{_format_float(float(s))}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _cleanup(paths: list[Path]) -> None:
@@ -156,13 +164,14 @@ def _parse_experiment(args):
         raise ConfigError("experiment config needs an 'instance'")
     instance, instance_doc = _instance_from_spec(config["instance"], base_dir)
     horizon = config.get("horizon", instance.horizon)
-    if not isinstance(horizon, int) or not 1 <= horizon <= instance.horizon:
+    if not _is_int(horizon) or not 1 <= horizon <= instance.horizon:
         raise ConfigError(
             f"horizon must be an integer in [1, {instance.horizon}], got {horizon!r}"
         )
     policy_specs = config.get("policies", [])
     if not policy_specs:
         raise ConfigError("experiment config needs at least one policy")
+    laws = [arm.law for arm in instance.arms]
     policies = []
     labels = set()
     for spec in policy_specs:
@@ -171,159 +180,146 @@ def _parse_experiment(args):
         if label in labels:
             raise ConfigError(f"duplicate policy label {label!r}")
         labels.add(label)
+        try:
+            # every arm's law, so a mismatch cannot surface mid-run
+            cfg.resolve(horizon, laws)
+        except ValueError as exc:
+            raise ConfigError(f"policy {label!r}: {exc}") from None
         policies.append((label, cfg))
     runs = args.runs if args.runs is not None else config.get("runs", 1)
     master_seed = args.seed if args.seed is not None else config.get("master_seed", 0)
     stride = args.stride if args.stride is not None else config.get("stride")
-    if not isinstance(runs, int) or runs < 1:
+    if not _is_int(runs) or runs < 1:
         raise ConfigError(f"runs must be a positive integer, got {runs!r}")
-    if not isinstance(master_seed, int):
+    if not _is_int(master_seed):
         raise ConfigError(f"master_seed must be an integer, got {master_seed!r}")
-    if stride is not None and (not isinstance(stride, int) or stride < 1):
+    if stride is not None and (not _is_int(stride) or stride < 1):
         raise ConfigError(f"stride must be a positive integer, got {stride!r}")
-    sweep_spec = config.get("sweep")
-    return instance, instance_doc, horizon, policies, runs, master_seed, stride, sweep_spec
+    if args.threads < 1:
+        raise ConfigError(f"--threads must be a positive integer, got {args.threads}")
+    header = {
+        "instance_hash": _canonical_hash(instance_doc),
+        "horizon": horizon,
+        "runs": runs,
+        "master_seed": master_seed,
+    }
+    return instance, header, horizon, policies, runs, master_seed, stride, config.get("sweep")
 
 
-def cmd_run(args) -> int:
-    try:
-        (
-            instance,
-            instance_doc,
-            horizon,
-            policies,
-            runs,
-            master_seed,
-            stride,
-            _,
-        ) = _parse_experiment(args)
-    except (ConfigError, InvalidInstanceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+def _write_outputs(out_dir: Path, header: dict, policies, simulate, json_name: str) -> int:
+    """Simulate each policy, write its CSV, then one JSON document of
+    ``header`` plus every policy's entry.
 
-    out_dir = Path(args.out)
+    ``simulate(label, cfg)`` returns (CSV name, CSV lines, JSON entry).
+    On failure the files written so far are removed; a run that exceeded
+    its pull-count regret bound is a property violation, anything else is
+    a bug and keeps its traceback.
+    """
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
+    combined = {"version": __version__, **header, "results": {}}
     try:
-        combined = {
-            "version": __version__,
-            "instance_hash": _canonical_hash(instance_doc),
-            "horizon": horizon,
-            "runs": runs,
-            "master_seed": master_seed,
-            "results": {},
-        }
         for label, cfg in policies:
-            aggregate = run_batch(
-                instance,
-                cfg,
-                horizon=horizon,
-                runs=runs,
-                master_seed=master_seed,
-                parallelism=args.threads,
-                stride=stride,
-            )
-            csv_path = out_dir / f"{label}.csv"
-            _write_aggregate_csv(csv_path, aggregate)
+            csv_name, lines, entry = simulate(label, cfg)
+            csv_path = out_dir / csv_name
+            csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
             written.append(csv_path)
-            combined["results"][label] = {
-                "config": cfg.resolve(horizon, instance.arms[0].law).to_dict(),
-                "aggregate": aggregate.to_dict(),
-            }
-        json_path = out_dir / "results.json"
+            combined["results"][label] = entry
+        json_path = out_dir / json_name
         json_path.write_text(
             json.dumps(combined, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
         written.append(json_path)
-    except Exception as exc:  # partial outputs are removed on failure
+    except AssertionError as exc:
         _cleanup(written)
+        print(f"property violation: {exc}", file=sys.stderr)
+        return EXIT_VIOLATION
+    except BaseException:
+        _cleanup(written)
+        raise
+    return EXIT_OK
+
+
+def cmd_run(args) -> int:
+    try:
+        instance, header, horizon, policies, runs, master_seed, stride, _ = _parse_experiment(args)
+    except (ConfigError, InvalidInstanceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    return EXIT_OK
+    laws = [arm.law for arm in instance.arms]
+
+    def simulate(label, cfg):
+        aggregate = run_batch(
+            instance,
+            cfg,
+            horizon=horizon,
+            runs=runs,
+            master_seed=master_seed,
+            parallelism=args.threads,
+            stride=stride,
+        )
+        lines = ["grid_t,mean_regret,std_regret"] + [
+            f"{int(t)},{_format_float(float(m))},{_format_float(float(s))}"
+            for t, m, s in zip(aggregate.grid, aggregate.mean_regret, aggregate.std_regret)
+        ]
+        entry = {"config": cfg.resolve(horizon, laws).to_dict(), "aggregate": aggregate.to_dict()}
+        return f"{label}.csv", lines, entry
+
+    return _write_outputs(Path(args.out), header, policies, simulate, "results.json")
 
 
 def cmd_sweep(args) -> int:
     try:
-        (
-            instance,
-            instance_doc,
-            horizon,
-            policies,
-            runs,
-            master_seed,
-            stride,
-            sweep_spec,
-        ) = _parse_experiment(args)
+        instance, header, horizon, policies, runs, master_seed, stride, sweep_spec = (
+            _parse_experiment(args)
+        )
         if not sweep_spec:
             raise ConfigError("sweep requires a 'sweep' section in the config")
         if not isinstance(sweep_spec, dict) or "axis" not in sweep_spec or "grid" not in sweep_spec:
             raise ConfigError("sweep section needs 'axis' and 'grid'")
         axis = sweep_spec["axis"]
         grid = sweep_spec["grid"]
+        if axis not in SWEEP_AXES:
+            raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")
         if not isinstance(grid, list) or not grid:
             raise ConfigError("sweep grid must be a non-empty list")
+        bad = [value for value in grid if not _grid_value_ok(axis, value)]
+        if bad:
+            raise ConfigError(f"bad {axis} grid values {bad!r}")
     except (ConfigError, InvalidInstanceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    try:
-        combined = {
-            "version": __version__,
-            "instance_hash": _canonical_hash(instance_doc),
-            "horizon": horizon,
-            "runs": runs,
-            "master_seed": master_seed,
-            "axis": axis,
-            "grid": grid,
-            "results": {},
-        }
-        for label, cfg in policies:
-            result = sweep(
-                instance,
-                cfg,
-                axis=axis,
-                grid=grid,
-                horizon=horizon,
-                runs=runs,
-                master_seed=master_seed,
-                parallelism=args.threads,
-                stride=stride,
-            )
-            csv_path = out_dir / f"{label}_sweep.csv"
-            lines = ["axis_value,resolved,mean_final_regret,std_final_regret"]
-            for point in result.points:
-                lines.append(
-                    f"{_format_float(point.axis_value)},{point.resolved},"
-                    f"{_format_float(point.mean_final_regret)},"
-                    f"{_format_float(point.std_final_regret)}"
-                )
-            csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-            written.append(csv_path)
-            combined["results"][label] = {
-                "config": cfg.to_dict(),
-                "points": [
-                    {
-                        "axis_value": p.axis_value,
-                        "resolved": p.resolved,
-                        "mean_final_regret": p.mean_final_regret,
-                        "std_final_regret": p.std_final_regret,
-                    }
-                    for p in result.points
-                ],
-            }
-        json_path = out_dir / "sweep.json"
-        json_path.write_text(
-            json.dumps(combined, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    def simulate(label, cfg):
+        result = sweep(
+            instance,
+            cfg,
+            axis=axis,
+            grid=grid,
+            horizon=horizon,
+            runs=runs,
+            master_seed=master_seed,
+            parallelism=args.threads,
+            stride=stride,
         )
-        written.append(json_path)
-    except Exception as exc:  # partial outputs are removed on failure
-        _cleanup(written)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    return EXIT_OK
+        lines = ["axis_value,resolved,mean_final_regret,std_final_regret"] + [
+            f"{_format_float(p.axis_value)},{p.resolved},"
+            f"{_format_float(p.mean_final_regret)},{_format_float(p.std_final_regret)}"
+            for p in result.points
+        ]
+        points = [
+            {
+                "axis_value": p.axis_value,
+                "resolved": p.resolved,
+                "mean_final_regret": p.mean_final_regret,
+                "std_final_regret": p.std_final_regret,
+            }
+            for p in result.points
+        ]
+        return f"{label}_sweep.csv", lines, {"config": cfg.to_dict(), "points": points}
+
+    header = {**header, "axis": axis, "grid": grid}
+    return _write_outputs(Path(args.out), header, policies, simulate, "sweep.json")
 
 
 def cmd_verify(args) -> int:

@@ -102,7 +102,9 @@ class PolynomialCurve(RewardCurve):
     and b >= 0.
 
     The shift b**(1/rho) keeps the value non-negative at n = 1 for every
-    b, since b * (n + b**(1/rho))**(-rho) < 1 always.
+    b, since b * (n + b**(1/rho))**(-rho) < 1 always.  In floating point
+    that term can round to just above 1 when the shift is huge, so the
+    value is clamped at 0.
     """
 
     c: float
@@ -121,11 +123,11 @@ class PolynomialCurve(RewardCurve):
 
     def mu(self, n: int) -> float:
         self._check_n(n)
-        return self.c * (1.0 - self.b * (n + self._shift()) ** (-self.rho))
+        return max(self.c * (1.0 - self.b * (n + self._shift()) ** (-self.rho)), 0.0)
 
     def mu_array(self, limit: int) -> np.ndarray:
         n = np.arange(1, limit + 1, dtype=float)
-        return self.c * (1.0 - self.b * (n + self._shift()) ** (-self.rho))
+        return np.maximum(self.c * (1.0 - self.b * (n + self._shift()) ** (-self.rho)), 0.0)
 
     def params(self) -> dict:
         return {"c": float(self.c), "b": float(self.b), "rho": float(self.rho)}

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .analytics import wald_regret_bound
+from .analytics import pseudo_regret, wald_regret_bound
 from .instance import Instance
 from .policies import Policy, PolicyConfig, make_policy
 
@@ -123,38 +123,31 @@ def run_single(
         # reference, and the uniqueness check all depend on it
         instance = Instance(instance.arms, horizon)
     policy_ss, reward_ss = np.random.SeedSequence(seed).spawn(2)
+    laws = [arm.law for arm in instance.arms]
     if isinstance(policy, PolicyConfig):
-        law = instance.arms[0].law
         policy = make_policy(
-            policy, instance.num_arms, horizon, np.random.default_rng(policy_ss), law
+            policy, instance.num_arms, horizon, np.random.default_rng(policy_ss), laws
         )
     reward_rng = np.random.default_rng(reward_ss)
-
-    counts = np.zeros(instance.num_arms, dtype=np.int64)
-    pulls = np.empty(horizon, dtype=np.int32)
-    opt = instance.expected_rewards(instance.optimal_arm)
-    cum_regret = 0.0
     grid = evaluation_grid(horizon, stride)
-    regret_on_grid = np.zeros(grid.size)
-    next_slot = 1
 
+    counts = [0] * instance.num_arms
+    pulls = []
     for t in range(1, horizon + 1):
         arm = policy.select_arm(t)
-        counts[arm] += 1
-        mean = instance.expected_reward(arm, int(counts[arm]))
-        reward = instance.arms[arm].law.sample(reward_rng, mean)
-        policy.update(arm, reward, t)
-        pulls[t - 1] = arm
-        cum_regret += float(opt[t - 1]) - mean
-        if next_slot < grid.size and t == grid[next_slot]:
-            regret_on_grid[next_slot] = cum_regret
-            next_slot += 1
+        n = counts[arm] + 1
+        counts[arm] = n
+        mean = instance.expected_reward(arm, n)
+        policy.update(arm, laws[arm].sample(reward_rng, mean), t)
+        pulls.append(arm)
 
+    pulls = np.array(pulls, dtype=np.int32)
+    regret = np.concatenate(([0.0], pseudo_regret(instance, pulls)))
     return RunRecord(
         run_index=0,
         grid=grid,
-        regret=regret_on_grid,
-        pull_counts=counts,
+        regret=regret[grid],
+        pull_counts=np.array(counts, dtype=np.int64),
         pulls=pulls if record_pulls else None,
     )
 

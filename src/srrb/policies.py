@@ -4,14 +4,14 @@ and Gaussian posteriors plus UCB-style reference baselines.
 All policies share the same protocol: ``select_arm(t)`` then
 ``update(arm, reward, t)``, with rounds numbered from 1 and strictly
 sequential.  Window statistics over the last ``window`` rounds are kept in
-per-arm deques with amortized O(1) eviction, so per-round work is O(K)
-regardless of the window length.
+a ring of past pulls with O(1) eviction, so an update costs O(1) and a
+selection O(K), regardless of the window length.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -81,8 +81,16 @@ class PolicyConfig:
         if self.ucb_alpha <= 0.0 or self.sw_xi <= 0.0:
             raise ValueError("ucb_alpha and sw_xi must be positive")
 
-    def resolve(self, horizon: int, law: RewardLaw | None = None) -> "PolicyConfig":
-        """Fill in horizon/law dependent defaults."""
+    def resolve(
+        self, horizon: int, law: RewardLaw | Sequence[RewardLaw] | None = None
+    ) -> "PolicyConfig":
+        """Fill in horizon/law dependent defaults; ``law`` is one reward law
+        or the laws of every arm.  The default Gaussian precision comes from
+        the largest variance proxy, and the Beta flavor needs Bernoulli laws.
+        """
+        laws = () if law is None else (law,) if isinstance(law, RewardLaw) else tuple(law)
+        if self.kind == "beta_swts" and any(lw.kind != "bernoulli" for lw in laws):
+            raise ValueError("Beta posteriors require a Bernoulli reward law")
         window = self.window
         if window is None:
             window = default_sw_window(horizon) if self.kind == "sw_ucb" else horizon
@@ -90,7 +98,7 @@ class PolicyConfig:
             raise ValueError(f"window {window} exceeds horizon {horizon}")
         precision = self.precision_scale
         if precision is None and self.kind == "gauss_swgts":
-            precision = default_precision_scale(law) if law is not None else 1.0
+            precision = min((default_precision_scale(lw) for lw in laws), default=1.0)
         return replace(self, window=window, precision_scale=precision)
 
     def to_dict(self) -> dict:
@@ -107,34 +115,41 @@ class PolicyConfig:
 
 
 class _WindowStats:
-    """Per-arm counts and reward sums over the trailing window.
+    """Per-arm counts and reward sums over rounds [t + 1 - window, t] after
+    round t, ready for the next selection; ``empty`` counts the arms whose
+    window holds no pull.
 
-    Entries are (round, reward) pairs; after processing round t the deques
-    only hold stamps >= t + 1 - window, i.e. the state is ready for the
-    next selection.
+    With one pull per round, the pull leaving at round t is the one from
+    round t - window, so a ring of the last ``window`` (arm, reward) pulls
+    evicts in O(1).  A round adds the new reward before it subtracts the
+    leaving one; the float sums depend on that order.
     """
 
     def __init__(self, num_arms: int, window: int):
         self.window = window
-        self.entries = [deque() for _ in range(num_arms)]
+        self.ring: list[tuple[int, float]] = []
         self.counts = np.zeros(num_arms, dtype=np.int64)
         self.sums = np.zeros(num_arms)
-        self.lifetime_counts = np.zeros(num_arms, dtype=np.int64)
-        self.lifetime_sums = np.zeros(num_arms)
+        self.lifetime_counts = [0] * num_arms
+        self.empty = num_arms
 
     def add(self, arm: int, reward: float, t: int) -> None:
-        self.entries[arm].append((t, reward))
-        self.counts[arm] += 1
-        self.sums[arm] += reward
+        counts, sums = self.counts, self.sums
+        if counts[arm] == 0:
+            self.empty -= 1
+        counts[arm] += 1
+        sums[arm] += reward
         self.lifetime_counts[arm] += 1
-        self.lifetime_sums[arm] += reward
-        cutoff = t + 1 - self.window
-        if cutoff > 1:
-            for i, dq in enumerate(self.entries):
-                while dq and dq[0][0] < cutoff:
-                    _, old = dq.popleft()
-                    self.counts[i] -= 1
-                    self.sums[i] -= old
+        if t <= self.window:
+            self.ring.append((arm, reward))
+            return
+        slot = (t - 1) % self.window
+        old_arm, old_reward = self.ring[slot]
+        self.ring[slot] = (arm, reward)
+        counts[old_arm] -= 1
+        sums[old_arm] -= old_reward
+        if counts[old_arm] == 0:
+            self.empty += 1
 
 
 class Policy:
@@ -174,7 +189,7 @@ class Policy:
 
     @property
     def lifetime_counts(self) -> np.ndarray:
-        return self._stats.lifetime_counts.copy()
+        return np.array(self._stats.lifetime_counts, dtype=np.int64)
 
     def _check_round(self, t: int) -> None:
         if t != self._rounds_done + 1:
@@ -185,11 +200,14 @@ class Policy:
             raise ValueError(f"round {t} past the horizon {self.horizon}")
 
     def _argmax_with_ties(self, values: np.ndarray) -> int:
-        best = values.max()
-        ties = np.flatnonzero(values == best)
-        if ties.size == 1:
-            return int(ties[0])
-        return int(ties[self.rng.integers(ties.size)])
+        """Index of the maximum; only a tie draws (uniformly) from the rng."""
+        values = values.tolist()
+        best = max(values)
+        ties = values.count(best)
+        if ties == 1:
+            return values.index(best)
+        pick = int(self.rng.integers(ties))
+        return [i for i, v in enumerate(values) if v == best][pick]
 
     def select_arm(self, t: int) -> int:
         self._check_round(t)
@@ -222,10 +240,8 @@ class BetaSlidingWindowTS(Policy):
     kind = "beta_swts"
 
     def _select(self, t: int) -> int:
-        counts = self._stats.counts
-        sums = self._stats.sums
-        samples = self.rng.beta(sums + 1.0, counts - sums + 1.0)
-        return self._argmax_with_ties(samples)
+        counts, sums = self._stats.counts, self._stats.sums
+        return self._argmax_with_ties(self.rng.beta(sums + 1.0, counts - sums + 1.0))
 
     def _ingest(self, arm: int, reward: float, t: int) -> None:
         if reward != 0.0 and reward != 1.0:
@@ -250,41 +266,19 @@ class GaussianSlidingWindowTS(Policy):
         self.precision_scale = precision_scale
 
     def _select(self, t: int) -> int:
+        if self._stats.empty:
+            return int(np.flatnonzero(self._stats.counts == 0)[0])
         counts = self._stats.counts
-        empty = np.flatnonzero(counts == 0)
-        if empty.size:
-            return int(empty[0])
         means = self._stats.sums / counts
         scales = np.sqrt(1.0 / (self.precision_scale * counts))
-        samples = self.rng.normal(means, scales)
-        return self._argmax_with_ties(samples)
-
-
-class UCB1Policy(Policy):
-    """Classic optimistic index on lifetime statistics:
-    mean + sqrt(alpha * log(t) / N), bootstrap round-robin first."""
-
-    kind = "ucb1"
-
-    def __init__(self, num_arms, horizon, rng, alpha: float = 2.0, forced_pulls: int = 0):
-        super().__init__(num_arms, horizon, horizon, forced_pulls, rng)
-        if alpha <= 0.0:
-            raise ValueError("alpha must be positive")
-        self.alpha = alpha
-
-    def _select(self, t: int) -> int:
-        counts = self._stats.lifetime_counts
-        unpulled = np.flatnonzero(counts == 0)
-        if unpulled.size:
-            return int(unpulled[0])
-        means = self._stats.lifetime_sums / counts
-        bonus = np.sqrt(self.alpha * math.log(t) / counts)
-        return self._argmax_with_ties(means + bonus)
+        # bit-identical to rng.normal(means, scales) at a fraction of its cost
+        return self._argmax_with_ties(means + scales * self.rng.standard_normal(self.num_arms))
 
 
 class SlidingWindowUCB(Policy):
     """Optimistic index on windowed statistics:
-    mean + sqrt(xi * log(min(t, window)) / N)."""
+    mean + sqrt(xi * log(min(t, window)) / N); an arm with an empty window
+    is pulled outright, lowest index first."""
 
     kind = "sw_ucb"
 
@@ -295,13 +289,29 @@ class SlidingWindowUCB(Policy):
         self.xi = xi
 
     def _select(self, t: int) -> int:
+        if self._stats.empty:
+            return int(np.flatnonzero(self._stats.counts == 0)[0])
         counts = self._stats.counts
-        empty = np.flatnonzero(counts == 0)
-        if empty.size:
-            return int(empty[0])
         means = self._stats.sums / counts
         bonus = np.sqrt(self.xi * math.log(min(t, self.window)) / counts)
         return self._argmax_with_ties(means + bonus)
+
+
+class UCB1Policy(SlidingWindowUCB):
+    """Classic optimistic index on lifetime statistics:
+    mean + sqrt(alpha * log(t) / N), bootstrap round-robin first.
+
+    This is the sliding-window index with xi = alpha and a window of the
+    whole horizon, whose statistics are the lifetime ones.
+    """
+
+    kind = "ucb1"
+
+    def __init__(self, num_arms, horizon, rng, alpha: float = 2.0, forced_pulls: int = 0):
+        if alpha <= 0.0:
+            raise ValueError("alpha must be positive")
+        super().__init__(num_arms, horizon, horizon, rng, xi=alpha, forced_pulls=forced_pulls)
+        self.alpha = alpha
 
 
 def make_policy(
@@ -309,17 +319,16 @@ def make_policy(
     num_arms: int,
     horizon: int,
     rng: np.random.Generator,
-    law: RewardLaw | None = None,
+    law: RewardLaw | Sequence[RewardLaw] | None = None,
 ) -> Policy:
     """Instantiate a policy from its configuration.
 
-    The law (when given) supplies the default Gaussian precision scale and
-    lets the Beta flavor reject non-Bernoulli reward models upfront.
+    The law (one law, or the laws of every arm) supplies the default
+    Gaussian precision scale and lets the Beta flavor reject non-Bernoulli
+    reward models upfront.
     """
     cfg = config.resolve(horizon, law)
     if cfg.kind == "beta_swts":
-        if law is not None and law.kind != "bernoulli":
-            raise ValueError("Beta posteriors require a Bernoulli reward law")
         return BetaSlidingWindowTS(num_arms, horizon, cfg.window, cfg.forced_pulls, rng)
     if cfg.kind == "gauss_swgts":
         return GaussianSlidingWindowTS(

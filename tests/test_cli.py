@@ -162,6 +162,68 @@ class TestRun:
         )
         assert main(["run", "--config", str(dup), "--out", str(tmp_path / "o2")]) == 2
 
+    def test_every_arm_law_checked_before_any_output(self, tmp_path, capsys):
+        doc = {
+            "horizon": 100,
+            "arms": [
+                {"family": "constant", "params": {"value": 0.6}, "law": "bernoulli"},
+                {"family": "constant", "params": {"value": 0.4}, "law": "bounded_uniform",
+                 "law_params": {"half_width": 0.1}},
+            ],
+        }
+        config = tmp_path / "mixed.json"
+        config.write_text(json.dumps({
+            "instance": doc,
+            "policies": [{"kind": "ucb1", "label": "ucb"}, {"kind": "beta_swts", "label": "ts"}],
+        }))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+        assert "policy 'ts'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field", ["runs", "master_seed", "stride", "horizon"])
+    def test_boolean_counts_exit_2(self, experiment_config, tmp_path, field):
+        config = json.loads(experiment_config.read_text())
+        config[field] = True
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps(config))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+
+    def test_zero_threads_exit_2(self, experiment_config, tmp_path):
+        argv = ["run", "--config", str(experiment_config), "--out", str(tmp_path / "o")]
+        assert main(argv + ["--threads", "0"]) == 2
+
+    def test_bound_violation_exits_1_and_removes_outputs(
+        self, experiment_config, tmp_path, monkeypatch
+    ):
+        import srrb.harness
+
+        monkeypatch.setattr(srrb.harness, "wald_regret_bound", lambda instance, counts: -1.0)
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(experiment_config), "--out", str(out)]) == 1
+        assert not any(out.iterdir())
+
+    def test_unexpected_error_raises_and_removes_outputs(
+        self, experiment_config, tmp_path, monkeypatch
+    ):
+        import srrb.cli
+
+        calls = []
+        real_run_batch = srrb.cli.run_batch
+
+        def failing_second_batch(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise RuntimeError("boom")
+            return real_run_batch(*args, **kwargs)
+
+        monkeypatch.setattr(srrb.cli, "run_batch", failing_second_batch)
+        out = tmp_path / "o"
+        with pytest.raises(RuntimeError, match="boom"):
+            main(["run", "--config", str(experiment_config), "--out", str(out)])
+        assert len(calls) == 2
+        assert not any(out.iterdir())
+
     def test_seed_override_changes_outputs(self, experiment_config, tmp_path):
         out1, out2 = tmp_path / "s1", tmp_path / "s2"
         main(["run", "--config", str(experiment_config), "--out", str(out1), "--seed", "1"])
@@ -206,6 +268,25 @@ class TestSweep:
         doc = json.loads((out / "sweep.json").read_text())
         resolved = [p["resolved"] for p in doc["results"]["ts"]["points"]]
         assert resolved == [10, 100]  # round(100^0.5), round(100^1)
+
+    @pytest.mark.parametrize(
+        "section",
+        [
+            {"axis": "learning_rate", "grid": [1]},
+            {"axis": "forced_pulls", "grid": [0, -5]},
+            {"axis": "forced_pulls", "grid": [2.5]},
+            {"axis": "forced_pulls", "grid": [True]},
+            {"axis": "window_exponent", "grid": [0.5, "1"]},
+        ],
+    )
+    def test_bad_sweep_section_exits_2(self, experiment_config, tmp_path, section):
+        config = json.loads(experiment_config.read_text())
+        config["sweep"] = section
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_missing_sweep_section_exits_2(self, experiment_config, tmp_path):
         assert main(["sweep", "--config", str(experiment_config), "--out", str(tmp_path / "o")]) == 2

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as hst
 
 from srrb.curves import (
@@ -107,6 +107,7 @@ class TestMonotonicity:
         hst.floats(min_value=0.0, max_value=20.0),
         hst.floats(min_value=1e-2, max_value=1.0),
     )
+    @example(c=1.0, b=20.0, rho=0.08203125)  # mu(1) rounded to -2.2e-16 unclamped
     def test_polynomial_nondecreasing_and_bounded(self, c, b, rho):
         values = PolynomialCurve(c=c, b=b, rho=rho).mu_array(200)
         assert (np.diff(values) >= -1e-15).all()

@@ -4,7 +4,7 @@ rested reward semantics."""
 import numpy as np
 import pytest
 
-from srrb.analytics import wald_regret_bound
+from srrb.analytics import pseudo_regret, wald_regret_bound
 from srrb.curves import BernoulliLaw, BoundedUniformLaw, ConstantCurve, TabulatedCurve
 from srrb.harness import child_seed, evaluation_grid, run_batch, run_single, sweep
 from srrb.instance import Arm, Instance
@@ -137,6 +137,38 @@ class TestRunSingle:
         )
         with pytest.raises(ValueError):
             run_single(inst, PolicyConfig(kind="beta_swts"), seed=0)
+
+    def test_every_arm_law_checked_before_the_run(self):
+        # arm 0 is Bernoulli: the check must cover every arm before round 1
+        inst = Instance(
+            [
+                Arm(ConstantCurve(0.6), BernoulliLaw()),
+                Arm(ConstantCurve(0.4), BoundedUniformLaw(half_width=0.1)),
+            ],
+            50,
+        )
+        with pytest.raises(ValueError, match="Bernoulli reward law"):
+            run_single(inst, PolicyConfig(kind="beta_swts"), seed=0)
+
+    @pytest.mark.parametrize("kind", ["beta_swts", "gauss_swgts", "ucb1", "sw_ucb"])
+    def test_regret_is_the_running_sum_bit_for_bit(self, kind):
+        inst = Instance(
+            [Arm(TabulatedCurve([0.2 + n / 700 for n in range(150)]), BernoulliLaw()),
+             Arm(ConstantCurve(0.43), BernoulliLaw()),
+             Arm(TabulatedCurve([0.1 + n / 300 for n in range(150)]), BernoulliLaw())],
+            300,
+        )
+        record = run_single(inst, PolicyConfig(kind=kind, window=40), seed=5, stride=1)
+        opt = inst.expected_rewards(inst.optimal_arm)
+        counts = [0] * inst.num_arms
+        running, expected = 0.0, [0.0]
+        for t, arm in enumerate(record.pulls, start=1):
+            counts[arm] += 1
+            running += float(opt[t - 1]) - inst.expected_reward(int(arm), counts[arm])
+            expected.append(running)
+        assert record.regret.tobytes() == np.array(expected).tobytes()
+        assert record.regret[1:].tobytes() == pseudo_regret(inst, record.pulls).tobytes()
+        np.testing.assert_array_equal(record.pull_counts, counts)
 
     def test_wald_bound_holds_per_run(self):
         inst = stationary([0.6, 0.5, 0.3])

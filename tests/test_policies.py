@@ -2,6 +2,7 @@
 selection, baselines, and determinism."""
 
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -43,6 +44,19 @@ class TestConfig:
         assert default_sw_window(10_000) == 1214
         cfg = PolicyConfig(kind="sw_ucb").resolve(horizon=10_000)
         assert cfg.window == 1214
+
+    def test_default_precision_from_largest_variance_proxy(self):
+        # arm 0 is Bernoulli (scale 1); the wide uniform arm sets the default
+        wide = BoundedUniformLaw(half_width=0.9)
+        cfg = PolicyConfig(kind="gauss_swgts").resolve(horizon=10, law=[BernoulliLaw(), wide])
+        assert cfg.precision_scale == default_precision_scale(wide) < 1.0
+
+    def test_beta_checks_every_arm_law(self):
+        laws = [BernoulliLaw(), BoundedUniformLaw(half_width=0.1)]
+        with pytest.raises(ValueError, match="Bernoulli"):
+            PolicyConfig(kind="beta_swts").resolve(horizon=10, law=laws)
+        with pytest.raises(ValueError, match="Bernoulli"):
+            make_policy(PolicyConfig(kind="beta_swts"), 2, 10, rng(), laws)
 
     def test_default_precision_scale(self):
         assert default_precision_scale(BernoulliLaw()) == 1.0
@@ -276,3 +290,144 @@ class TestDeterminism:
             make_policy(
                 PolicyConfig(kind="beta_swts"), 2, 50, rng(), BoundedUniformLaw(half_width=0.1)
             )
+
+
+class _DequeOracle:
+    """Reference copy of the per-arm deque implementation the ring buffer
+    replaced: deque eviction scanning every arm, ``flatnonzero``
+    tie-breaks, ``rng.normal`` and ``rng.beta`` draws, and lifetime
+    statistics for UCB1.  ``ties`` counts the randomized tie-breaks."""
+
+    def __init__(self, kind, num_arms, horizon, window, forced, rng, param):
+        self.kind, self.num_arms, self.forced, self.rng, self.param = (
+            kind, num_arms, forced, rng, param
+        )
+        self.window = horizon if kind == "ucb1" else window
+        self.entries = [deque() for _ in range(num_arms)]
+        self.counts = np.zeros(num_arms, dtype=np.int64)
+        self.sums = np.zeros(num_arms)
+        self.lifetime_counts = np.zeros(num_arms, dtype=np.int64)
+        self.lifetime_sums = np.zeros(num_arms)
+        self.ties = 0
+
+    def _argmax(self, values):
+        best = values.max()
+        ties = np.flatnonzero(values == best)
+        if ties.size == 1:
+            return int(ties[0])
+        self.ties += 1
+        return int(ties[self.rng.integers(ties.size)])
+
+    def select_arm(self, t):
+        if t <= self.num_arms * self.forced:
+            return (t - 1) % self.num_arms
+        counts, sums = self.counts, self.sums
+        if self.kind == "beta_swts":
+            return self._argmax(self.rng.beta(sums + 1.0, counts - sums + 1.0))
+        if self.kind == "ucb1":
+            counts, sums = self.lifetime_counts, self.lifetime_sums
+        empty = np.flatnonzero(counts == 0)
+        if empty.size:
+            return int(empty[0])
+        means = sums / counts
+        if self.kind == "gauss_swgts":
+            return self._argmax(self.rng.normal(means, np.sqrt(1.0 / (self.param * counts))))
+        if self.kind == "ucb1":
+            return self._argmax(means + np.sqrt(self.param * math.log(t) / counts))
+        return self._argmax(
+            means + np.sqrt(self.param * math.log(min(t, self.window)) / counts)
+        )
+
+    def update(self, arm, reward, t):
+        self.entries[arm].append((t, reward))
+        self.counts[arm] += 1
+        self.sums[arm] += reward
+        self.lifetime_counts[arm] += 1
+        self.lifetime_sums[arm] += reward
+        cutoff = t + 1 - self.window
+        if cutoff > 1:
+            for i, dq in enumerate(self.entries):
+                while dq and dq[0][0] < cutoff:
+                    _, old = dq.popleft()
+                    self.counts[i] -= 1
+                    self.sums[i] -= old
+
+
+ORACLE_PARAMS = {"beta_swts": None, "gauss_swgts": 0.7, "ucb1": 2.0, "sw_ucb": 0.6}
+
+
+def _policy_under_test(kind, num_arms, horizon, window, forced, seed):
+    param = ORACLE_PARAMS[kind]
+    if kind == "beta_swts":
+        return BetaSlidingWindowTS(num_arms, horizon, window, forced, rng(seed))
+    if kind == "gauss_swgts":
+        return GaussianSlidingWindowTS(
+            num_arms, horizon, window, forced, rng(seed), precision_scale=param
+        )
+    if kind == "ucb1":
+        return UCB1Policy(num_arms, horizon, rng(seed), alpha=param, forced_pulls=forced)
+    return SlidingWindowUCB(num_arms, horizon, window, rng(seed), xi=param, forced_pulls=forced)
+
+
+class TestRingMatchesDequeOracle:
+    """The ring-buffer policies make the same selections, consume the same
+    random numbers and keep bit-identical window statistics as the deque
+    implementation, round by round."""
+
+    HORIZON = 300
+
+    def _replay(self, kind, num_arms, window, forced, rewards):
+        horizon = self.HORIZON
+        window = horizon if window is None else window
+        seed = 1000 * num_arms + window + forced
+        policy = _policy_under_test(kind, num_arms, horizon, window, forced, seed)
+        oracle = _DequeOracle(
+            kind, num_arms, horizon, window, forced, rng(seed), ORACLE_PARAMS[kind]
+        )
+        reward_rng = np.random.default_rng(seed + 1)
+        success = reward_rng.random(num_arms)
+        for t in range(1, horizon + 1):
+            arm = policy.select_arm(t)
+            assert arm == oracle.select_arm(t), f"round {t}"
+            if rewards == "constant":
+                reward = 1.0
+            elif kind == "beta_swts":
+                reward = float(reward_rng.random() < success[arm])
+            else:  # not dyadic, so the order of float additions shows
+                reward = success[arm] * reward_rng.random()
+            policy.update(arm, reward, t)
+            oracle.update(arm, reward, t)
+            np.testing.assert_array_equal(policy.window_counts, oracle.counts)
+            assert policy.window_sums.tobytes() == oracle.sums.tobytes()
+        np.testing.assert_array_equal(policy.lifetime_counts, oracle.lifetime_counts)
+        # both generators must sit at the same point of their streams
+        assert policy.rng.random() == oracle.rng.random()
+        return oracle
+
+    @pytest.mark.parametrize("forced", [0, 1])
+    @pytest.mark.parametrize("window", [1, 7, None])
+    @pytest.mark.parametrize("num_arms", [2, 15])
+    @pytest.mark.parametrize("kind", list(ORACLE_PARAMS))
+    def test_same_selections_and_statistics(self, kind, num_arms, window, forced):
+        self._replay(kind, num_arms, window, forced, rewards="random")
+
+    @pytest.mark.parametrize("window", [60, None])
+    @pytest.mark.parametrize("num_arms", [2, 15])
+    @pytest.mark.parametrize("kind", ["ucb1", "sw_ucb"])
+    def test_exact_index_ties(self, kind, num_arms, window):
+        # equal rewards make arms with equal counts tie exactly, so the
+        # tie-break draws must match too
+        oracle = self._replay(kind, num_arms, window, 0, rewards="constant")
+        assert oracle.ties > 0
+
+    def test_empty_window_reentry(self):
+        # window 7 over 15 arms empties windows all the time; the Gaussian
+        # and SW-UCB policies pull such arms outright, lowest index first
+        for kind in ("gauss_swgts", "sw_ucb"):
+            policy = _policy_under_test(kind, 15, self.HORIZON, 7, 0, 3)
+            for t in range(1, 60):
+                counts = policy.window_counts
+                arm = policy.select_arm(t)
+                if (counts == 0).any():
+                    assert arm == int(np.flatnonzero(counts == 0)[0])
+                policy.update(arm, 1.0, t)
