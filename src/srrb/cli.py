@@ -182,10 +182,9 @@ def _parse_experiment(args):
         labels.add(label)
         try:
             # every arm's law, so a mismatch cannot surface mid-run
-            cfg.resolve(horizon, laws)
+            policies.append((label, cfg.resolve(horizon, laws)))
         except ValueError as exc:
             raise ConfigError(f"policy {label!r}: {exc}") from None
-        policies.append((label, cfg))
     runs = args.runs if args.runs is not None else config.get("runs", 1)
     master_seed = args.seed if args.seed is not None else config.get("master_seed", 0)
     stride = args.stride if args.stride is not None else config.get("stride")
@@ -246,7 +245,6 @@ def cmd_run(args) -> int:
     except (ConfigError, InvalidInstanceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    laws = [arm.law for arm in instance.arms]
 
     def simulate(label, cfg):
         aggregate = run_batch(
@@ -262,7 +260,7 @@ def cmd_run(args) -> int:
             f"{int(t)},{_format_float(float(m))},{_format_float(float(s))}"
             for t, m, s in zip(aggregate.grid, aggregate.mean_regret, aggregate.std_regret)
         ]
-        entry = {"config": cfg.resolve(horizon, laws).to_dict(), "aggregate": aggregate.to_dict()}
+        entry = {"config": cfg.to_dict(), "aggregate": aggregate.to_dict()}
         return f"{label}.csv", lines, entry
 
     return _write_outputs(Path(args.out), header, policies, simulate, "results.json")

@@ -60,10 +60,6 @@ class RewardCurve:
     def params(self) -> dict:
         raise NotImplementedError
 
-    def is_exact(self) -> bool:
-        """True when mu(n) is evaluated in exact rational arithmetic."""
-        return False
-
     def to_dict(self) -> dict:
         return {"family": self.family, "params": self.params()}
 
@@ -170,9 +166,6 @@ class LinearCappedCurve(RewardCurve):
         n = np.arange(1, limit + 1, dtype=float)
         return np.minimum(float(self.slope) * (n - float(self.offset)), float(self.cap))
 
-    def is_exact(self) -> bool:
-        return all(isinstance(v, (int, Fraction)) for v in (self.slope, self.cap, self.offset))
-
     def params(self) -> dict:
         return {"slope": float(self.slope), "cap": float(self.cap), "offset": float(self.offset)}
 
@@ -193,9 +186,6 @@ class ConstantCurve(RewardCurve):
 
     def mu_array(self, limit: int) -> np.ndarray:
         return np.full(limit, float(self.value))
-
-    def is_exact(self) -> bool:
-        return isinstance(self.value, (int, Fraction))
 
     def params(self) -> dict:
         return {"value": float(self.value)}
@@ -232,9 +222,6 @@ class TabulatedCurve(RewardCurve):
         out[: len(self._values)] = self._array
         out[len(self._values) :] = self._array[-1]
         return out
-
-    def is_exact(self) -> bool:
-        return all(isinstance(v, (int, Fraction)) for v in self._values)
 
     def params(self) -> dict:
         return {"values": [float(v) for v in self._values]}

@@ -21,14 +21,12 @@ __all__ = [
     "binomial_cdf",
     "beta_tail",
     "pb_pmf",
-    "PoissonBinomial",
     "tv_distance",
     "roos_tv_bound",
     "posterior_tail_beta",
     "posterior_tail_gauss",
     "expected_inverse_tail_pb",
     "expected_inverse_tail_binomial",
-    "erfc",
 ]
 
 PB_MAX_LEN = 4096
@@ -204,32 +202,6 @@ def pb_pmf(probs: Sequence[float]) -> np.ndarray:
     return pmf
 
 
-class PoissonBinomial:
-    """Sum of independent, non-identical Bernoulli variables.
-
-    Immutable after construction; the pmf is cached eagerly.
-    """
-
-    def __init__(self, probs: Sequence[float]):
-        self._probs = tuple(float(v) for v in probs)
-        self._pmf = pb_pmf(self._probs)
-        self._pmf.setflags(write=False)
-
-    @property
-    def probs(self) -> tuple[float, ...]:
-        return self._probs
-
-    @property
-    def pmf(self) -> np.ndarray:
-        return self._pmf
-
-    def mean(self) -> float:
-        return float(sum(self._probs))
-
-    def __len__(self) -> int:
-        return len(self._probs)
-
-
 def tv_distance(pmf_a: Sequence[float], pmf_b: Sequence[float]) -> float:
     """Total variation distance between two discrete pmfs.
 
@@ -330,8 +302,3 @@ def expected_inverse_tail_binomial(j: int, x: float, threshold: float) -> float:
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"x must be in [0, 1], got {x}")
     return _expected_inverse_tail(binomial_pmf(j, x), j, threshold)
-
-
-def erfc(x: float) -> float:
-    """Complementary error function."""
-    return math.erfc(x)

@@ -266,7 +266,8 @@ def sweep(
     result = SweepResult(axis=axis)
     for j, value in enumerate(grid):
         if axis == "window_exponent":
-            window = int(min(max(round(horizon**float(value)), 1), horizon))
+            # T^a >= T for a >= 1, so clamping a first keeps the power finite
+            window = int(min(max(round(horizon ** min(float(value), 1.0)), 1), horizon))
             config = replace(base_config, window=window)
             resolved = window
         else:

@@ -1,16 +1,19 @@
 """Sequential decision policies: sliding-window Thompson sampling with Beta
 and Gaussian posteriors plus UCB-style reference baselines.
 
-All policies share the same protocol: ``select_arm(t)`` then
-``update(arm, reward, t)``, with rounds numbered from 1 and strictly
-sequential.  Window statistics over the last ``window`` rounds are kept in
-a ring of past pulls with O(1) eviction, so an update costs O(1) and a
-selection O(K), regardless of the window length.
+A policy is described by a :class:`PolicyConfig`, the only place that
+checks its parameters, and built with :func:`make_policy`.  All policies
+share the same protocol: ``select_arm(t)`` then ``update(arm, reward, t)``,
+with rounds numbered from 1 and strictly sequential.  Window statistics
+over the last ``window`` rounds are kept in a ring of past pulls with O(1)
+eviction, so an update costs O(1) and a selection O(K), regardless of the
+window length.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
@@ -21,10 +24,6 @@ from .curves import RewardLaw
 __all__ = [
     "PolicyConfig",
     "Policy",
-    "BetaSlidingWindowTS",
-    "GaussianSlidingWindowTS",
-    "UCB1Policy",
-    "SlidingWindowUCB",
     "make_policy",
     "default_precision_scale",
     "default_sw_window",
@@ -50,15 +49,37 @@ def default_sw_window(horizon: int) -> int:
     return min(horizon, math.ceil(4.0 * math.sqrt(horizon * math.log(horizon))))
 
 
+def _count(name: str, value, low: int) -> int:
+    """An integer >= ``low`` (numpy integers too, but no ``bool``) as a
+    Python int."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
+def _positive_real(name: str, value):
+    """A finite positive real (no ``bool``); ints and floats are kept as
+    given, so a config records the value it was written with."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or not (math.isfinite(value) and value > 0)
+    ):
+        raise ValueError(f"{name} must be a finite positive number, got {value!r}")
+    return value if isinstance(value, (int, float)) else float(value)
+
+
 @dataclass(frozen=True)
 class PolicyConfig:
-    """Declarative policy description.
+    """Declarative policy description, checked in full on construction.
 
-    window = None means no windowing (the full horizon).  The named
-    variants are parameterizations of the two TS kinds: forced_pulls = 0
-    with full window is plain Beta-TS, forced_pulls > 0 adds the
-    explore-then phase, window < T enables sliding windows, and the
-    Gaussian flavor conventionally uses forced_pulls >= 1.
+    window = None means the kind's default: the full horizon, or
+    ``default_sw_window`` for ``sw_ucb``.  The named variants are
+    parameterizations of the two TS kinds: forced_pulls = 0 with full
+    window is plain Beta-TS, forced_pulls > 0 adds the explore-then phase,
+    window < T enables sliding windows, and the Gaussian flavor
+    conventionally uses forced_pulls >= 1.  ``ucb1`` is SW-UCB with
+    xi = ucb_alpha, whose full-horizon window keeps lifetime statistics.
     """
 
     kind: str
@@ -72,14 +93,19 @@ class PolicyConfig:
     def __post_init__(self) -> None:
         if self.kind not in POLICY_KINDS:
             raise ValueError(f"unknown policy kind {self.kind!r}; expected one of {POLICY_KINDS}")
-        if self.forced_pulls < 0:
-            raise ValueError("forced_pulls must be >= 0")
-        if self.window is not None and self.window < 1:
-            raise ValueError("window must be >= 1")
-        if self.precision_scale is not None and self.precision_scale <= 0.0:
-            raise ValueError("precision_scale must be positive")
-        if self.ucb_alpha <= 0.0 or self.sw_xi <= 0.0:
-            raise ValueError("ucb_alpha and sw_xi must be positive")
+        if self.label is not None and not isinstance(self.label, str):
+            raise ValueError(f"label must be a string, got {self.label!r}")
+        checked = {
+            "forced_pulls": _count("forced_pulls", self.forced_pulls, 0),
+            "window": None if self.window is None else _count("window", self.window, 1),
+            "precision_scale": None
+            if self.precision_scale is None
+            else _positive_real("precision_scale", self.precision_scale),
+            "ucb_alpha": _positive_real("ucb_alpha", self.ucb_alpha),
+            "sw_xi": _positive_real("sw_xi", self.sw_xi),
+        }
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
 
     def resolve(
         self, horizon: int, law: RewardLaw | Sequence[RewardLaw] | None = None
@@ -114,82 +140,40 @@ class PolicyConfig:
         return out
 
 
-class _WindowStats:
-    """Per-arm counts and reward sums over rounds [t + 1 - window, t] after
-    round t, ready for the next selection; ``empty`` counts the arms whose
-    window holds no pull.
+class Policy:
+    """Base sequential policy over ``num_arms`` arms and ``horizon`` rounds,
+    built from a resolved :class:`PolicyConfig`.
 
-    With one pull per round, the pull leaving at round t is the one from
-    round t - window, so a ring of the last ``window`` (arm, reward) pulls
-    evicts in O(1).  A round adds the new reward before it subtracts the
-    leaving one; the float sums depend on that order.
+    After round t it holds per-arm counts and reward sums over rounds
+    [t + 1 - window, t], ready for the next selection, and the number of
+    arms whose window holds no pull.  With one pull per round, the pull
+    leaving at round t is the one from round t - window, so a ring of the
+    last ``window`` (arm, reward) pulls evicts in O(1).  A round adds the
+    new reward before it subtracts the leaving one; the float sums depend
+    on that order.
     """
 
-    def __init__(self, num_arms: int, window: int):
-        self.window = window
-        self.ring: list[tuple[int, float]] = []
-        self.counts = np.zeros(num_arms, dtype=np.int64)
-        self.sums = np.zeros(num_arms)
-        self.lifetime_counts = [0] * num_arms
-        self.empty = num_arms
-
-    def add(self, arm: int, reward: float, t: int) -> None:
-        counts, sums = self.counts, self.sums
-        if counts[arm] == 0:
-            self.empty -= 1
-        counts[arm] += 1
-        sums[arm] += reward
-        self.lifetime_counts[arm] += 1
-        if t <= self.window:
-            self.ring.append((arm, reward))
-            return
-        slot = (t - 1) % self.window
-        old_arm, old_reward = self.ring[slot]
-        self.ring[slot] = (arm, reward)
-        counts[old_arm] -= 1
-        sums[old_arm] -= old_reward
-        if counts[old_arm] == 0:
-            self.empty += 1
-
-
-class Policy:
-    """Base sequential policy over ``num_arms`` arms and ``horizon`` rounds."""
-
     def __init__(
-        self,
-        num_arms: int,
-        horizon: int,
-        window: int,
-        forced_pulls: int,
-        rng: np.random.Generator,
+        self, config: PolicyConfig, num_arms: int, horizon: int, rng: np.random.Generator
     ):
-        if num_arms < 1:
-            raise ValueError("need at least one arm")
-        if horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        if not 1 <= window <= horizon:
-            raise ValueError(f"window must be in [1, {horizon}], got {window}")
-        if forced_pulls < 0:
-            raise ValueError("forced_pulls must be >= 0")
         self.num_arms = num_arms
         self.horizon = horizon
-        self.window = window
-        self.forced_pulls = forced_pulls
+        self.window = config.window
+        self.forced_pulls = config.forced_pulls
         self.rng = rng
-        self._stats = _WindowStats(num_arms, window)
+        self._ring: list[tuple[int, float]] = []
+        self._counts = np.zeros(num_arms, dtype=np.int64)
+        self._sums = np.zeros(num_arms)
+        self._empty = num_arms
         self._rounds_done = 0
 
     @property
     def window_counts(self) -> np.ndarray:
-        return self._stats.counts.copy()
+        return self._counts.copy()
 
     @property
     def window_sums(self) -> np.ndarray:
-        return self._stats.sums.copy()
-
-    @property
-    def lifetime_counts(self) -> np.ndarray:
-        return np.array(self._stats.lifetime_counts, dtype=np.int64)
+        return self._sums.copy()
 
     def _check_round(self, t: int) -> None:
         if t != self._rounds_done + 1:
@@ -222,11 +206,25 @@ class Policy:
         self._check_round(t)
         if not 0 <= arm < self.num_arms:
             raise IndexError(f"arm index {arm} out of range")
-        self._ingest(arm, reward, t)
+        counts, sums = self._counts, self._sums
+        if counts[arm] == 0:
+            self._empty -= 1
+        counts[arm] += 1
+        sums[arm] += reward
         self._rounds_done = t
+        if t <= self.window:
+            self._ring.append((arm, reward))
+            return
+        slot = (t - 1) % self.window
+        old_arm, old_reward = self._ring[slot]
+        self._ring[slot] = (arm, reward)
+        counts[old_arm] -= 1
+        sums[old_arm] -= old_reward
+        if counts[old_arm] == 0:
+            self._empty += 1
 
-    def _ingest(self, arm: int, reward: float, t: int) -> None:
-        self._stats.add(arm, reward, t)
+    def _first_empty_arm(self) -> int:
+        return int(np.flatnonzero(self._counts == 0)[0])
 
 
 class BetaSlidingWindowTS(Policy):
@@ -237,16 +235,14 @@ class BetaSlidingWindowTS(Policy):
     phase; arms with an empty window simply sample from the flat Beta(1,1).
     """
 
-    kind = "beta_swts"
-
     def _select(self, t: int) -> int:
-        counts, sums = self._stats.counts, self._stats.sums
+        counts, sums = self._counts, self._sums
         return self._argmax_with_ties(self.rng.beta(sums + 1.0, counts - sums + 1.0))
 
-    def _ingest(self, arm: int, reward: float, t: int) -> None:
+    def update(self, arm: int, reward: float, t: int) -> None:
         if reward != 0.0 and reward != 1.0:
             raise ValueError(f"Beta posteriors require rewards in {{0, 1}}, got {reward}")
-        super()._ingest(arm, reward, t)
+        super().update(arm, reward, t)
 
 
 class GaussianSlidingWindowTS(Policy):
@@ -257,19 +253,15 @@ class GaussianSlidingWindowTS(Policy):
     pulled outright so the posterior stays well defined.
     """
 
-    kind = "gauss_swgts"
-
-    def __init__(self, num_arms, horizon, window, forced_pulls, rng, precision_scale: float = 1.0):
-        super().__init__(num_arms, horizon, window, forced_pulls, rng)
-        if precision_scale <= 0.0:
-            raise ValueError("precision_scale must be positive")
-        self.precision_scale = precision_scale
+    def __init__(self, config, num_arms, horizon, rng):
+        super().__init__(config, num_arms, horizon, rng)
+        self.precision_scale = config.precision_scale
 
     def _select(self, t: int) -> int:
-        if self._stats.empty:
-            return int(np.flatnonzero(self._stats.counts == 0)[0])
-        counts = self._stats.counts
-        means = self._stats.sums / counts
+        if self._empty:
+            return self._first_empty_arm()
+        counts = self._counts
+        means = self._sums / counts
         scales = np.sqrt(1.0 / (self.precision_scale * counts))
         # bit-identical to rng.normal(means, scales) at a fraction of its cost
         return self._argmax_with_ties(means + scales * self.rng.standard_normal(self.num_arms))
@@ -278,40 +270,32 @@ class GaussianSlidingWindowTS(Policy):
 class SlidingWindowUCB(Policy):
     """Optimistic index on windowed statistics:
     mean + sqrt(xi * log(min(t, window)) / N); an arm with an empty window
-    is pulled outright, lowest index first."""
+    is pulled outright, lowest index first.
 
-    kind = "sw_ucb"
+    UCB1 is this index with xi = ucb_alpha; over its default full-horizon
+    window the statistics are the lifetime ones and the bonus is
+    sqrt(alpha * log(t) / N).
+    """
 
-    def __init__(self, num_arms, horizon, window, rng, xi: float = 0.6, forced_pulls: int = 0):
-        super().__init__(num_arms, horizon, window, forced_pulls, rng)
-        if xi <= 0.0:
-            raise ValueError("xi must be positive")
-        self.xi = xi
+    def __init__(self, config, num_arms, horizon, rng):
+        super().__init__(config, num_arms, horizon, rng)
+        self.xi = config.ucb_alpha if config.kind == "ucb1" else config.sw_xi
 
     def _select(self, t: int) -> int:
-        if self._stats.empty:
-            return int(np.flatnonzero(self._stats.counts == 0)[0])
-        counts = self._stats.counts
-        means = self._stats.sums / counts
+        if self._empty:
+            return self._first_empty_arm()
+        counts = self._counts
+        means = self._sums / counts
         bonus = np.sqrt(self.xi * math.log(min(t, self.window)) / counts)
         return self._argmax_with_ties(means + bonus)
 
 
-class UCB1Policy(SlidingWindowUCB):
-    """Classic optimistic index on lifetime statistics:
-    mean + sqrt(alpha * log(t) / N), bootstrap round-robin first.
-
-    This is the sliding-window index with xi = alpha and a window of the
-    whole horizon, whose statistics are the lifetime ones.
-    """
-
-    kind = "ucb1"
-
-    def __init__(self, num_arms, horizon, rng, alpha: float = 2.0, forced_pulls: int = 0):
-        if alpha <= 0.0:
-            raise ValueError("alpha must be positive")
-        super().__init__(num_arms, horizon, horizon, rng, xi=alpha, forced_pulls=forced_pulls)
-        self.alpha = alpha
+_POLICY_CLASSES = {
+    "beta_swts": BetaSlidingWindowTS,
+    "gauss_swgts": GaussianSlidingWindowTS,
+    "ucb1": SlidingWindowUCB,
+    "sw_ucb": SlidingWindowUCB,
+}
 
 
 def make_policy(
@@ -321,24 +305,11 @@ def make_policy(
     rng: np.random.Generator,
     law: RewardLaw | Sequence[RewardLaw] | None = None,
 ) -> Policy:
-    """Instantiate a policy from its configuration.
+    """Instantiate a policy from its configuration, resolved for
+    ``horizon``.
 
     The law (one law, or the laws of every arm) supplies the default
     Gaussian precision scale and lets the Beta flavor reject non-Bernoulli
     reward models upfront.
     """
-    cfg = config.resolve(horizon, law)
-    if cfg.kind == "beta_swts":
-        return BetaSlidingWindowTS(num_arms, horizon, cfg.window, cfg.forced_pulls, rng)
-    if cfg.kind == "gauss_swgts":
-        return GaussianSlidingWindowTS(
-            num_arms, horizon, cfg.window, cfg.forced_pulls, rng,
-            precision_scale=cfg.precision_scale,
-        )
-    if cfg.kind == "ucb1":
-        return UCB1Policy(num_arms, horizon, rng, alpha=cfg.ucb_alpha, forced_pulls=cfg.forced_pulls)
-    if cfg.kind == "sw_ucb":
-        return SlidingWindowUCB(
-            num_arms, horizon, cfg.window, rng, xi=cfg.sw_xi, forced_pulls=cfg.forced_pulls
-        )
-    raise AssertionError(f"unhandled kind {cfg.kind!r}")
+    return _POLICY_CLASSES[config.kind](config.resolve(horizon, law), num_arms, horizon, rng)

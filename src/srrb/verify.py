@@ -23,11 +23,7 @@ from .distmath import (
     roos_tv_bound,
     tv_distance,
 )
-from .policies import (
-    BetaSlidingWindowTS,
-    GaussianSlidingWindowTS,
-    SlidingWindowUCB,
-)
+from .policies import PolicyConfig, make_policy
 
 __all__ = [
     "CheckResult",
@@ -273,16 +269,14 @@ def windows_suite(
         pulls = rng.integers(0, num_arms, size=horizon)
         binary = rng.integers(0, 2, size=horizon).astype(float)
         dyadic = rng.integers(0, 1025, size=horizon) / 1024.0
-        policy_rng = np.random.default_rng(seed + trace)
-        candidates = [
-            (BetaSlidingWindowTS(num_arms, horizon, window, 0, policy_rng), binary),
-            (
-                GaussianSlidingWindowTS(num_arms, horizon, window, 0, policy_rng),
-                dyadic,
-            ),
-            (SlidingWindowUCB(num_arms, horizon, window, policy_rng), dyadic),
-        ]
-        policy, rewards = candidates[trace % len(candidates)]
+        kind = ("beta_swts", "gauss_swgts", "sw_ucb")[trace % 3]
+        rewards = binary if kind == "beta_swts" else dyadic
+        policy = make_policy(
+            PolicyConfig(kind=kind, window=window),
+            num_arms,
+            horizon,
+            np.random.default_rng(seed + trace),
+        )
         counts_oracle, sums_oracle = recount_window_stats(pulls, rewards, num_arms, window)
         for t in range(1, horizon + 1):
             policy.update(int(pulls[t - 1]), float(rewards[t - 1]), t)

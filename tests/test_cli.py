@@ -189,6 +189,40 @@ class TestRun:
         path.write_text(json.dumps(config))
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("window", 2.5),
+            ("forced_pulls", 2.5),
+            ("window", True),
+            ("ucb_alpha", True),
+            ("sw_xi", float("nan")),
+            ("precision_scale", float("inf")),
+        ],
+    )
+    def test_bad_policy_fields_exit_2(self, experiment_config, tmp_path, field, value):
+        config = json.loads(experiment_config.read_text())
+        config["policies"][1][field] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))  # NaN and Infinity are read back as floats
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_ucb1_is_sw_ucb_with_its_window(self, experiment_config, tmp_path):
+        config = json.loads(experiment_config.read_text())
+        config["policies"] = [
+            {"kind": "ucb1", "label": "ucb1", "window": 9, "ucb_alpha": 0.8},
+            {"kind": "sw_ucb", "label": "sw_ucb", "window": 9, "sw_xi": 0.8},
+        ]
+        path = tmp_path / "ucb.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        assert (out / "ucb1.csv").read_bytes() == (out / "sw_ucb.csv").read_bytes()
+        results = json.loads((out / "results.json").read_text())["results"]
+        assert results["ucb1"]["config"]["window"] == 9
+
     def test_zero_threads_exit_2(self, experiment_config, tmp_path):
         argv = ["run", "--config", str(experiment_config), "--out", str(tmp_path / "o")]
         assert main(argv + ["--threads", "0"]) == 2
@@ -238,7 +272,10 @@ class TestSweep:
             "horizon": 120,
             "runs": 2,
             "master_seed": 4,
-            "policies": [{"kind": "beta_swts", "label": "ts"}],
+            "policies": [
+                {"kind": "beta_swts", "label": "ts"},
+                {"kind": "gauss_swgts", "label": "gauss"},
+            ],
             "sweep": {"axis": "forced_pulls", "grid": [0, 5, 10]},
         }
         path = tmp_path / "sweep.json"
@@ -251,23 +288,49 @@ class TestSweep:
         doc = json.loads((out / "sweep.json").read_text())
         assert doc["axis"] == "forced_pulls"
         assert len(doc["results"]["ts"]["points"]) == 3
+        # the resolved configs, as in results.json
+        assert doc["results"]["ts"]["config"]["window"] == 120
+        assert doc["results"]["gauss"]["config"]["precision_scale"] == 1.0
 
-    def test_window_exponent_axis(self, tmp_path, stationary_file):
+    @staticmethod
+    def _window_sweep(tmp_path, stationary_file, policies, grid):
+        """Run a window_exponent sweep at T = 100; return its output
+        directory and the windows each grid value resolved to."""
         config = {
             "instance": {"file": str(stationary_file)},
             "horizon": 100,
             "runs": 2,
             "master_seed": 8,
-            "policies": [{"kind": "beta_swts", "label": "ts"}],
-            "sweep": {"axis": "window_exponent", "grid": [0.5, 1.0]},
+            "policies": policies,
+            "sweep": {"axis": "window_exponent", "grid": grid},
         }
         path = tmp_path / "sweep.json"
         path.write_text(json.dumps(config))
         out = tmp_path / "out"
         assert main(["sweep", "--config", str(path), "--out", str(out)]) == 0
         doc = json.loads((out / "sweep.json").read_text())
-        resolved = [p["resolved"] for p in doc["results"]["ts"]["points"]]
+        label = policies[0]["label"]
+        return out, [p["resolved"] for p in doc["results"][label]["points"]]
+
+    def test_window_exponent_axis(self, tmp_path, stationary_file):
+        ts = [{"kind": "beta_swts", "label": "ts"}]
+        _, resolved = self._window_sweep(tmp_path, stationary_file, ts, [0.5, 1.0])
         assert resolved == [10, 100]  # round(100^0.5), round(100^1)
+
+    def test_window_exponent_far_above_one_is_the_horizon(self, tmp_path, stationary_file):
+        # 100^400 overflows a float; the exponent is clamped to 1 first
+        ts = [{"kind": "beta_swts", "label": "ts"}]
+        _, resolved = self._window_sweep(tmp_path, stationary_file, ts, [0.5, 400])
+        assert resolved == [10, 100]
+
+    def test_ucb1_window_exponent_sweep_runs_each_window(self, tmp_path, stationary_file):
+        policies = [
+            {"kind": "ucb1", "label": "ucb1", "ucb_alpha": 0.6},
+            {"kind": "sw_ucb", "label": "sw_ucb", "sw_xi": 0.6},
+        ]
+        out, resolved = self._window_sweep(tmp_path, stationary_file, policies, [0.0, 0.5, 1.0])
+        assert resolved == [1, 10, 100]
+        assert (out / "ucb1_sweep.csv").read_bytes() == (out / "sw_ucb_sweep.csv").read_bytes()
 
     @pytest.mark.parametrize(
         "section",

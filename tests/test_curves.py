@@ -121,10 +121,9 @@ class TestExactArithmetic:
         value = curve.mu(2)
         assert isinstance(value, Fraction)
         assert value == Fraction(1, 6)
-        assert curve.is_exact()
 
     def test_float_parameters_not_exact(self):
-        assert not LinearCappedCurve(slope=0.1, cap=0.5).is_exact()
+        assert isinstance(LinearCappedCurve(slope=0.1, cap=0.5).mu(2), float)
 
 
 class TestSerialization:

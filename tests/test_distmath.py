@@ -13,12 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from srrb.distmath import (
-    PoissonBinomial,
     bernoulli_kl,
     beta_tail,
     binomial_cdf,
     binomial_pmf,
-    erfc,
     expected_inverse_tail_binomial,
     expected_inverse_tail_pb,
     pb_pmf,
@@ -206,13 +204,6 @@ class TestPoissonBinomial:
         with pytest.raises(ValueError):
             pb_pmf(np.full(5000, 0.5))
 
-    def test_cached_object(self):
-        pb = PoissonBinomial([0.2, 0.8])
-        assert pb.mean() == pytest.approx(1.0)
-        assert len(pb) == 2
-        with pytest.raises(ValueError):
-            pb.pmf[0] = 2.0  # read-only cache
-
 
 class TestTvDistance:
     def test_identical(self):
@@ -359,27 +350,3 @@ class TestExpectedInverseTail:
     def test_enumeration_cap(self):
         with pytest.raises(ValueError):
             expected_inverse_tail_pb([0.5] * 31, 0.5)
-
-
-class TestErfc:
-    def test_at_zero(self):
-        assert erfc(0.0) == 1.0
-
-    def test_symmetry(self):
-        for x in (0.1, 1.0, 3.7):
-            assert erfc(-x) + erfc(x) == pytest.approx(2.0, rel=1e-15)
-
-    def test_value_at_one(self):
-        assert erfc(1.0) == pytest.approx(0.15729920705028513, abs=1e-16)
-
-    def test_against_mpmath_grid(self):
-        mp = pytest.importorskip("mpmath")
-        mp.mp.dps = 40
-        xs = np.linspace(-10, 10, 81)
-        for x in xs:
-            assert erfc(float(x)) == pytest.approx(float(mp.erfc(float(x))), rel=1e-12)
-
-    def test_monotone_decreasing(self):
-        xs = np.linspace(-10, 10, 200)
-        values = [erfc(float(x)) for x in xs]
-        assert all(a >= b for a, b in zip(values, values[1:]))

@@ -9,11 +9,8 @@ import pytest
 
 from srrb.curves import BernoulliLaw, BoundedUniformLaw
 from srrb.policies import (
-    BetaSlidingWindowTS,
-    GaussianSlidingWindowTS,
+    POLICY_KINDS,
     PolicyConfig,
-    SlidingWindowUCB,
-    UCB1Policy,
     default_precision_scale,
     default_sw_window,
     make_policy,
@@ -23,6 +20,11 @@ from srrb.verify import recount_window_stats
 
 def rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def build(kind, num_arms, horizon, window=None, forced=0, seed=0, **params):
+    config = PolicyConfig(kind=kind, forced_pulls=forced, window=window, **params)
+    return make_policy(config, num_arms, horizon, rng(seed))
 
 
 class TestConfig:
@@ -77,10 +79,39 @@ class TestConfig:
         with pytest.raises(ValueError):
             PolicyConfig(kind="beta_swts", forced_pulls=-1)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("forced_pulls", 2.5),
+            ("forced_pulls", 2.0),
+            ("forced_pulls", True),
+            ("window", 2.5),
+            ("window", True),
+            ("window", 0),
+            ("ucb_alpha", True),
+            ("ucb_alpha", 0.0),
+            ("sw_xi", math.nan),
+            ("sw_xi", "0.6"),
+            ("precision_scale", math.inf),
+            ("precision_scale", False),
+            ("label", 3),
+        ],
+    )
+    def test_rejects_bad_fields(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            PolicyConfig(kind="gauss_swgts", **{field: value})
+
+    def test_numpy_numbers_become_python_numbers(self):
+        cfg = PolicyConfig(
+            kind="sw_ucb", forced_pulls=np.int32(2), window=np.int64(5), sw_xi=np.float32(0.5)
+        )
+        assert cfg.to_dict() == {"kind": "sw_ucb", "forced_pulls": 2, "window": 5, "sw_xi": 0.5}
+        assert type(cfg.window) is int and type(cfg.sw_xi) is float
+
 
 class TestForcedExploration:
     def test_round_robin_schedule(self):
-        policy = BetaSlidingWindowTS(3, 100, 100, 2, rng())
+        policy = build("beta_swts", 3, 100, window=100, forced=2)
         # rounds 1..6 cycle over arms 0, 1, 2 twice
         expected = [0, 1, 2, 0, 1, 2]
         for t, arm in enumerate(expected, start=1):
@@ -89,14 +120,14 @@ class TestForcedExploration:
 
     def test_counts_after_forced_phase(self):
         forced = 4
-        policy = GaussianSlidingWindowTS(5, 200, 200, forced, rng())
+        policy = build("gauss_swgts", 5, 200, window=200, forced=forced)
         for t in range(1, 5 * forced + 1):
             arm = policy.select_arm(t)
             policy.update(arm, 0.25, t)
-        np.testing.assert_array_equal(policy.lifetime_counts, forced)
+        np.testing.assert_array_equal(policy.window_counts, forced)
 
     def test_fourth_round_second_pass(self):
-        policy = BetaSlidingWindowTS(3, 50, 50, 2, rng())
+        policy = build("beta_swts", 3, 50, forced=2)
         for t in range(1, 4):
             policy.update(policy.select_arm(t), 1.0, t)
         assert policy.select_arm(4) == 0
@@ -104,7 +135,7 @@ class TestForcedExploration:
 
 class TestBetaSelection:
     def test_dominant_arm_wins_almost_surely(self):
-        policy = BetaSlidingWindowTS(2, 10_000, 10_000, 0, rng(5))
+        policy = build("beta_swts", 2, 10_000, seed=5)
         t = 1
         for _ in range(50):
             policy.update(0, 1.0, t)
@@ -116,7 +147,7 @@ class TestBetaSelection:
         assert wins / 10_000 > 0.999
 
     def test_posterior_parameters_from_window(self):
-        policy = BetaSlidingWindowTS(1, 100, 100, 0, rng())
+        policy = build("beta_swts", 1, 100)
         rewards = [1.0, 0.0, 1.0, 1.0, 0.0]
         for t, x in enumerate(rewards, start=1):
             policy.update(0, x, t)
@@ -127,14 +158,14 @@ class TestBetaSelection:
         assert policy.window_counts[0] - policy.window_sums[0] + 1 == 3
 
     def test_rejects_nonbinary_reward(self):
-        policy = BetaSlidingWindowTS(2, 10, 10, 0, rng())
+        policy = build("beta_swts", 2, 10)
         with pytest.raises(ValueError):
             policy.update(0, 0.5, 1)
 
     def test_empty_window_samples_flat_prior(self):
         # with window 1, every round evicts the other arm's sample, yet
         # selection still works by sampling Beta(1, 1)
-        policy = BetaSlidingWindowTS(2, 100, 1, 0, rng(3))
+        policy = build("beta_swts", 2, 100, window=1, seed=3)
         for t in range(1, 50):
             arm = policy.select_arm(t)
             policy.update(arm, 1.0, t)
@@ -143,7 +174,7 @@ class TestBetaSelection:
 
 class TestGaussianSelection:
     def test_forced_pull_on_empty_window(self):
-        policy = GaussianSlidingWindowTS(3, 100, 100, 0, rng())
+        policy = build("gauss_swgts", 3, 100)
         assert policy.select_arm(1) == 0
         policy.update(0, 0.4, 1)
         assert policy.select_arm(2) == 1
@@ -153,7 +184,7 @@ class TestGaussianSelection:
     def test_window_eviction_triggers_forced_pull(self):
         # window 2: after two rounds on other arms, an arm's stats vanish
         # and it must be pulled outright
-        policy = GaussianSlidingWindowTS(2, 100, 2, 0, rng(1))
+        policy = build("gauss_swgts", 2, 100, window=2, seed=1)
         policy.update(0, 1.0, 1)
         policy.update(1, 1.0, 2)
         policy.update(1, 1.0, 3)
@@ -161,7 +192,7 @@ class TestGaussianSelection:
         assert policy.select_arm(4) == 0
 
     def test_accepts_real_rewards(self):
-        policy = GaussianSlidingWindowTS(2, 10, 10, 0, rng())
+        policy = build("gauss_swgts", 2, 10)
         policy.update(0, 0.731, 1)
         assert policy.window_sums[0] == pytest.approx(0.731)
 
@@ -170,7 +201,7 @@ class TestWindowAccounting:
     def test_gap_window_example(self):
         # window 3, pulls of arm 0 at rounds 1, 2 and 4: by round 5 only
         # rounds 2 and 4 remain in view
-        policy = GaussianSlidingWindowTS(2, 100, 3, 0, rng())
+        policy = build("gauss_swgts", 2, 100, window=3)
         policy.update(0, 1.0, 1)
         policy.update(0, 1.0, 2)
         policy.update(1, 0.5, 3)
@@ -180,12 +211,11 @@ class TestWindowAccounting:
 
     def test_full_window_never_evicts(self):
         horizon = 300
-        policy = BetaSlidingWindowTS(2, horizon, horizon, 0, rng(2))
+        policy = build("beta_swts", 2, horizon, seed=2)
         pulls = np.random.default_rng(9).integers(0, 2, size=horizon)
         for t, arm in enumerate(pulls, start=1):
             policy.update(int(arm), 1.0, t)
         np.testing.assert_array_equal(policy.window_counts, np.bincount(pulls, minlength=2))
-        np.testing.assert_array_equal(policy.lifetime_counts, policy.window_counts)
 
     @pytest.mark.parametrize("window", [1, 7, 64, 500])
     def test_matches_recount_on_random_trace(self, window):
@@ -193,7 +223,7 @@ class TestWindowAccounting:
         trace_rng = np.random.default_rng(window)
         pulls = trace_rng.integers(0, num_arms, size=horizon)
         rewards = trace_rng.integers(0, 1025, size=horizon) / 1024.0
-        policy = SlidingWindowUCB(num_arms, horizon, window, rng(4))
+        policy = build("sw_ucb", num_arms, horizon, window=window, seed=4)
         counts, sums = recount_window_stats(pulls, rewards, num_arms, window)
         for t in range(1, horizon + 1):
             policy.update(int(pulls[t - 1]), float(rewards[t - 1]), t)
@@ -201,7 +231,7 @@ class TestWindowAccounting:
             np.testing.assert_array_equal(policy.window_sums, sums[t])
 
     def test_out_of_order_rounds_rejected(self):
-        policy = BetaSlidingWindowTS(2, 10, 10, 0, rng())
+        policy = build("beta_swts", 2, 10)
         policy.update(0, 1.0, 1)
         with pytest.raises(ValueError):
             policy.update(0, 1.0, 1)
@@ -209,7 +239,7 @@ class TestWindowAccounting:
             policy.update(0, 1.0, 3)
 
     def test_round_past_horizon_rejected(self):
-        policy = BetaSlidingWindowTS(2, 2, 2, 0, rng())
+        policy = build("beta_swts", 2, 2)
         policy.update(0, 1.0, 1)
         policy.update(0, 1.0, 2)
         with pytest.raises(ValueError):
@@ -218,7 +248,7 @@ class TestWindowAccounting:
 
 class TestBaselines:
     def test_ucb1_bootstrap(self):
-        policy = UCB1Policy(3, 100, rng())
+        policy = build("ucb1", 3, 100)
         seen = set()
         for t in range(1, 4):
             arm = policy.select_arm(t)
@@ -227,13 +257,13 @@ class TestBaselines:
         assert seen == {0, 1, 2}
 
     def test_ucb1_prefers_higher_mean(self):
-        policy = UCB1Policy(2, 100, rng())
+        policy = build("ucb1", 2, 100)
         for t, (arm, x) in enumerate([(0, 1.0), (1, 0.0), (0, 1.0), (1, 0.0)], start=1):
             policy.update(arm, x, t)
         assert policy.select_arm(5) == 0
 
     def test_ucb1_index_formula(self):
-        policy = UCB1Policy(2, 100, rng(), alpha=2.0)
+        policy = build("ucb1", 2, 100, ucb_alpha=2.0)
         for t, (arm, x) in enumerate([(0, 1.0), (1, 0.0)], start=1):
             policy.update(arm, x, t)
         t = 3
@@ -245,7 +275,7 @@ class TestBaselines:
     def test_sw_ucb_uses_window(self):
         # after the window slides past arm 0's good streak, the empty-window
         # bootstrap pulls it again
-        policy = SlidingWindowUCB(2, 100, 2, rng(8))
+        policy = build("sw_ucb", 2, 100, window=2, seed=8)
         policy.update(0, 1.0, 1)
         policy.update(1, 0.0, 2)
         policy.update(1, 0.0, 3)
@@ -253,7 +283,7 @@ class TestBaselines:
         assert policy.select_arm(4) == 0
 
     def test_tie_break_randomizes(self):
-        policy = UCB1Policy(2, 10_000, rng(11))
+        policy = build("ucb1", 2, 10_000, seed=11)
         policy.update(0, 1.0, 1)
         policy.update(1, 1.0, 2)
         picks = {policy.select_arm(3) for _ in range(64)}
@@ -263,7 +293,7 @@ class TestBaselines:
 class TestDeterminism:
     def test_same_seed_same_sequence(self):
         def run(seed):
-            policy = BetaSlidingWindowTS(3, 400, 50, 2, rng(seed))
+            policy = build("beta_swts", 3, 400, window=50, forced=2, seed=seed)
             reward_rng = np.random.default_rng(123)
             picks = []
             for t in range(1, 401):
@@ -276,14 +306,18 @@ class TestDeterminism:
         assert run(7) != run(8)
 
     def test_make_policy_dispatch(self):
-        for kind, cls in [
-            ("beta_swts", BetaSlidingWindowTS),
-            ("gauss_swgts", GaussianSlidingWindowTS),
-            ("ucb1", UCB1Policy),
-            ("sw_ucb", SlidingWindowUCB),
-        ]:
-            policy = make_policy(PolicyConfig(kind=kind), 3, 50, rng(), BernoulliLaw())
-            assert isinstance(policy, cls)
+        for kind in POLICY_KINDS:
+            config = PolicyConfig(kind=kind, forced_pulls=2)
+            policy = make_policy(config, 3, 50, rng(), BernoulliLaw())
+            resolved = config.resolve(50, BernoulliLaw())
+            assert (policy.num_arms, policy.window, policy.forced_pulls) == (3, resolved.window, 2)
+
+    def test_ucb1_is_sw_ucb_with_its_window(self):
+        ucb1 = build("ucb1", 3, 50, ucb_alpha=0.8)
+        assert type(ucb1) is type(build("sw_ucb", 3, 50))
+        assert (ucb1.window, ucb1.xi) == (50, 0.8)
+        # an explicit window is honoured, as for sw_ucb
+        assert build("ucb1", 3, 50, window=7).window == 7
 
     def test_beta_rejects_non_bernoulli_law(self):
         with pytest.raises(ValueError):
@@ -356,17 +390,14 @@ class _DequeOracle:
 ORACLE_PARAMS = {"beta_swts": None, "gauss_swgts": 0.7, "ucb1": 2.0, "sw_ucb": 0.6}
 
 
+PARAM_FIELDS = {"gauss_swgts": "precision_scale", "ucb1": "ucb_alpha", "sw_ucb": "sw_xi"}
+
+
 def _policy_under_test(kind, num_arms, horizon, window, forced, seed):
-    param = ORACLE_PARAMS[kind]
-    if kind == "beta_swts":
-        return BetaSlidingWindowTS(num_arms, horizon, window, forced, rng(seed))
-    if kind == "gauss_swgts":
-        return GaussianSlidingWindowTS(
-            num_arms, horizon, window, forced, rng(seed), precision_scale=param
-        )
+    params = {PARAM_FIELDS[kind]: ORACLE_PARAMS[kind]} if kind in PARAM_FIELDS else {}
     if kind == "ucb1":
-        return UCB1Policy(num_arms, horizon, rng(seed), alpha=param, forced_pulls=forced)
-    return SlidingWindowUCB(num_arms, horizon, window, rng(seed), xi=param, forced_pulls=forced)
+        window = None  # the oracle's UCB1 keeps lifetime statistics: the default window
+    return build(kind, num_arms, horizon, window=window, forced=forced, seed=seed, **params)
 
 
 class TestRingMatchesDequeOracle:
@@ -399,7 +430,6 @@ class TestRingMatchesDequeOracle:
             oracle.update(arm, reward, t)
             np.testing.assert_array_equal(policy.window_counts, oracle.counts)
             assert policy.window_sums.tobytes() == oracle.sums.tobytes()
-        np.testing.assert_array_equal(policy.lifetime_counts, oracle.lifetime_counts)
         # both generators must sit at the same point of their streams
         assert policy.rng.random() == oracle.rng.random()
         return oracle
