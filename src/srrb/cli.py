@@ -11,16 +11,15 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 from pathlib import Path
 
 from . import __version__
 from .analytics import build_report
 from .constructions import lower_bound_instances
-from .harness import SWEEP_AXES, run_batch, sweep
+from .harness import run_batch, sweep, sweep_point
 from .instance import Instance, InvalidInstanceError, dump_instance
-from .policies import PolicyConfig
+from .policies import PolicyConfig, _count
 from .verify import SUITES, run_suites
 
 EXIT_OK = 0
@@ -56,41 +55,6 @@ def _instance_from_spec(spec, base_dir: Path) -> tuple[Instance, dict]:
         raise
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad instance document: {exc}") from None
-
-
-def _policy_from_spec(spec: dict) -> PolicyConfig:
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError(f"policy entry needs a 'kind': {spec!r}")
-    known = {
-        "kind",
-        "label",
-        "forced_pulls",
-        "window",
-        "precision_scale",
-        "ucb_alpha",
-        "sw_xi",
-    }
-    extra = set(spec) - known
-    if extra:
-        raise ConfigError(f"unknown policy fields {sorted(extra)}")
-    try:
-        return PolicyConfig(**spec)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad policy entry: {exc}") from None
-
-
-def _is_int(value) -> bool:
-    """JSON integers only: ``bool`` is an ``int`` subclass but no count."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _grid_value_ok(axis: str, value) -> bool:
-    """A finite exponent, or a non-negative whole number of forced pulls."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    if axis == "window_exponent":
-        return math.isfinite(value)
-    return value >= 0 and float(value).is_integer()
 
 
 def _canonical_hash(document: dict) -> str:
@@ -163,11 +127,20 @@ def _parse_experiment(args):
     if "instance" not in config:
         raise ConfigError("experiment config needs an 'instance'")
     instance, instance_doc = _instance_from_spec(config["instance"], base_dir)
-    horizon = config.get("horizon", instance.horizon)
-    if not _is_int(horizon) or not 1 <= horizon <= instance.horizon:
-        raise ConfigError(
-            f"horizon must be an integer in [1, {instance.horizon}], got {horizon!r}"
-        )
+    runs = args.runs if args.runs is not None else config.get("runs", 1)
+    master_seed = args.seed if args.seed is not None else config.get("master_seed", 0)
+    stride = args.stride if args.stride is not None else config.get("stride")
+    try:
+        horizon = _count("horizon", config.get("horizon", instance.horizon), 1)
+        runs = _count("runs", runs, 1)
+        # the seed is SeedSequence entropy, which must be >= 0
+        master_seed = _count("master_seed", master_seed, 0)
+        stride = None if stride is None else _count("stride", stride, 1)
+        _count("--threads", args.threads, 1)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    if horizon > instance.horizon:
+        raise ConfigError(f"horizon {horizon} exceeds the instance horizon {instance.horizon}")
     policy_specs = config.get("policies", [])
     if not policy_specs:
         raise ConfigError("experiment config needs at least one policy")
@@ -175,7 +148,10 @@ def _parse_experiment(args):
     policies = []
     labels = set()
     for spec in policy_specs:
-        cfg = _policy_from_spec(spec)
+        try:
+            cfg = PolicyConfig(**spec)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad policy entry {spec!r}: {exc}") from None
         label = cfg.label or cfg.kind
         if label in labels:
             raise ConfigError(f"duplicate policy label {label!r}")
@@ -185,17 +161,6 @@ def _parse_experiment(args):
             policies.append((label, cfg.resolve(horizon, laws)))
         except ValueError as exc:
             raise ConfigError(f"policy {label!r}: {exc}") from None
-    runs = args.runs if args.runs is not None else config.get("runs", 1)
-    master_seed = args.seed if args.seed is not None else config.get("master_seed", 0)
-    stride = args.stride if args.stride is not None else config.get("stride")
-    if not _is_int(runs) or runs < 1:
-        raise ConfigError(f"runs must be a positive integer, got {runs!r}")
-    if not _is_int(master_seed):
-        raise ConfigError(f"master_seed must be an integer, got {master_seed!r}")
-    if stride is not None and (not _is_int(stride) or stride < 1):
-        raise ConfigError(f"stride must be a positive integer, got {stride!r}")
-    if args.threads < 1:
-        raise ConfigError(f"--threads must be a positive integer, got {args.threads}")
     header = {
         "instance_hash": _canonical_hash(instance_doc),
         "horizon": horizon,
@@ -277,13 +242,14 @@ def cmd_sweep(args) -> int:
             raise ConfigError("sweep section needs 'axis' and 'grid'")
         axis = sweep_spec["axis"]
         grid = sweep_spec["grid"]
-        if axis not in SWEEP_AXES:
-            raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")
         if not isinstance(grid, list) or not grid:
             raise ConfigError("sweep grid must be a non-empty list")
-        bad = [value for value in grid if not _grid_value_ok(axis, value)]
-        if bad:
-            raise ConfigError(f"bad {axis} grid values {bad!r}")
+        try:
+            for _, cfg in policies:
+                for value in grid:
+                    sweep_point(cfg, axis, value, horizon)
+        except ValueError as exc:
+            raise ConfigError(f"bad sweep section: {exc}") from None
     except (ConfigError, InvalidInstanceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -5,16 +5,17 @@ must be non-decreasing in n.  Closed-form families guarantee this through
 parameter constraints; tabulated curves are checked entry by entry and
 extend past their table as a constant.
 
-The piecewise-linear and constant families evaluate without rounding when
-constructed from ``fractions.Fraction`` parameters, which the minimax
-construction relies on for exact gap arithmetic.
+Every family evaluates through ``mu_array``.  The piecewise-linear family
+also has an exact scalar ``mu``: built from ``fractions.Fraction``
+parameters it evaluates without rounding, which the minimax construction
+relies on for exact gap arithmetic.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Union
 
@@ -37,6 +38,19 @@ __all__ = [
 Real = Union[int, float, Fraction]
 
 
+def _real(name: str, value, exact: bool = False) -> Real:
+    """A finite real number (no ``bool``) as a float; with ``exact``, ints
+    and Fractions are kept as given."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    if exact and isinstance(value, (int, Fraction)):
+        return value
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
+
+
 def _check_unit_interval(name: str, value: float, open_left: bool = False) -> None:
     lo_ok = value > 0.0 if open_left else value >= 0.0
     if not (lo_ok and value <= 1.0):
@@ -45,27 +59,33 @@ def _check_unit_interval(name: str, value: float, open_left: bool = False) -> No
 
 
 class RewardCurve:
-    """Base class for non-decreasing expected-reward functions."""
+    """Base class for non-decreasing expected-reward functions.
+
+    A closed-form family is a frozen dataclass whose fields are its
+    parameters: each is checked as a finite real number, then ``_check``
+    checks their ranges.
+    """
 
     family: str = ""
+    _exact = False  # keep int and Fraction parameters for exact evaluation
 
-    def mu(self, n: int) -> Real:
-        """Expected reward at the n-th pull, n >= 1."""
-        raise NotImplementedError
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            object.__setattr__(self, f.name, _real(f.name, getattr(self, f.name), self._exact))
+        self._check()
+
+    def _check(self) -> None:
+        pass
 
     def mu_array(self, limit: int) -> np.ndarray:
         """float64 vector of mu(1), ..., mu(limit)."""
         raise NotImplementedError
 
     def params(self) -> dict:
-        raise NotImplementedError
+        return {f.name: float(getattr(self, f.name)) for f in fields(self)}
 
     def to_dict(self) -> dict:
         return {"family": self.family, "params": self.params()}
-
-    def _check_n(self, n: int) -> None:
-        if n < 1:
-            raise ValueError(f"pull count must be >= 1, got {n}")
 
 
 @dataclass(frozen=True)
@@ -76,20 +96,13 @@ class ExponentialCurve(RewardCurve):
     a: float
     family = "exponential"
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         _check_unit_interval("c", self.c, open_left=True)
         _check_unit_interval("a", self.a, open_left=True)
-
-    def mu(self, n: int) -> float:
-        self._check_n(n)
-        return self.c * -math.expm1(-self.a * n)
 
     def mu_array(self, limit: int) -> np.ndarray:
         n = np.arange(1, limit + 1, dtype=float)
         return self.c * -np.expm1(-self.a * n)
-
-    def params(self) -> dict:
-        return {"c": float(self.c), "a": float(self.a)}
 
 
 @dataclass(frozen=True)
@@ -108,87 +121,58 @@ class PolynomialCurve(RewardCurve):
     rho: float
     family = "polynomial"
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         _check_unit_interval("c", self.c, open_left=True)
         _check_unit_interval("rho", self.rho, open_left=True)
         if self.b < 0.0:
             raise ValueError(f"b must be >= 0, got {self.b}")
 
-    def _shift(self) -> float:
-        return self.b ** (1.0 / self.rho) if self.b > 0.0 else 0.0
-
-    def mu(self, n: int) -> float:
-        self._check_n(n)
-        return max(self.c * (1.0 - self.b * (n + self._shift()) ** (-self.rho)), 0.0)
-
     def mu_array(self, limit: int) -> np.ndarray:
         n = np.arange(1, limit + 1, dtype=float)
-        return np.maximum(self.c * (1.0 - self.b * (n + self._shift()) ** (-self.rho)), 0.0)
-
-    def params(self) -> dict:
-        return {"c": float(self.c), "b": float(self.b), "rho": float(self.rho)}
-
-
-def _as_number(value: Real) -> Real:
-    if isinstance(value, (int, Fraction)):
-        return value
-    if isinstance(value, numbers.Real):
-        return float(value)
-    raise TypeError(f"expected a real number, got {type(value)!r}")
+        shift = self.b ** (1.0 / self.rho) if self.b > 0.0 else 0.0
+        return np.maximum(self.c * (1.0 - self.b * (n + shift) ** (-self.rho)), 0.0)
 
 
 @dataclass(frozen=True)
 class LinearCappedCurve(RewardCurve):
     """mu(n) = min(slope * (n - offset), cap).
 
-    Parameters may be Fractions, in which case evaluation is exact.
+    Parameters may be Fractions, in which case ``mu`` is exact.
     """
 
     slope: Real
     cap: Real
     offset: Real = 1
     family = "linear_capped"
+    _exact = True
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "slope", _as_number(self.slope))
-        object.__setattr__(self, "cap", _as_number(self.cap))
-        object.__setattr__(self, "offset", _as_number(self.offset))
+    def _check(self) -> None:
         if self.slope < 0:
             raise ValueError(f"slope must be >= 0, got {self.slope}")
         if self.slope * (1 - self.offset) < 0:
             raise ValueError("curve would be negative at the first pull")
 
     def mu(self, n: int) -> Real:
-        self._check_n(n)
+        """Expected reward at the n-th pull, n >= 1, in the parameters'
+        own arithmetic."""
+        if n < 1:
+            raise ValueError(f"pull count must be >= 1, got {n}")
         return min(self.slope * (n - self.offset), self.cap)
 
     def mu_array(self, limit: int) -> np.ndarray:
         n = np.arange(1, limit + 1, dtype=float)
         return np.minimum(float(self.slope) * (n - float(self.offset)), float(self.cap))
 
-    def params(self) -> dict:
-        return {"slope": float(self.slope), "cap": float(self.cap), "offset": float(self.offset)}
-
 
 @dataclass(frozen=True)
 class ConstantCurve(RewardCurve):
     """mu(n) = value for every n (a stationary arm)."""
 
-    value: Real
+    value: float
     family = "constant"
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "value", _as_number(self.value))
-
-    def mu(self, n: int) -> Real:
-        self._check_n(n)
-        return self.value
-
     def mu_array(self, limit: int) -> np.ndarray:
-        return np.full(limit, float(self.value))
-
-    def params(self) -> dict:
-        return {"value": float(self.value)}
+        return np.full(limit, self.value)
 
 
 class TabulatedCurve(RewardCurve):
@@ -197,53 +181,50 @@ class TabulatedCurve(RewardCurve):
     family = "tabulated"
 
     def __init__(self, values):
-        values = tuple(_as_number(v) for v in values)
-        if not values:
+        self._array = np.array([_real("values", v) for v in values])
+        if not self._array.size:
             raise ValueError("tabulated curve needs at least one value")
-        for lo, hi in zip(values, values[1:]):
-            if hi < lo:
-                raise ValueError("tabulated values must be non-decreasing")
-        self._values = values
-        self._array = np.asarray([float(v) for v in values])
+        if np.any(np.diff(self._array) < 0.0):
+            raise ValueError("tabulated values must be non-decreasing")
         self._array.setflags(write=False)
 
-    @property
-    def values(self) -> tuple:
-        return self._values
-
-    def mu(self, n: int) -> Real:
-        self._check_n(n)
-        return self._values[min(n, len(self._values)) - 1]
-
     def mu_array(self, limit: int) -> np.ndarray:
-        if limit <= len(self._values):
-            return self._array[:limit].copy()
-        out = np.empty(limit)
-        out[: len(self._values)] = self._array
-        out[len(self._values) :] = self._array[-1]
+        out = np.full(limit, self._array[-1])
+        size = min(limit, self._array.size)
+        out[:size] = self._array[:size]
         return out
 
     def params(self) -> dict:
-        return {"values": [float(v) for v in self._values]}
+        return {"values": self._array.tolist()}
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, TabulatedCurve) and self._values == other._values
+        return isinstance(other, TabulatedCurve) and np.array_equal(self._array, other._array)
 
     def __hash__(self) -> int:
-        return hash(self._values)
+        return hash(tuple(self._array.tolist()))
 
     def __repr__(self) -> str:
-        return f"TabulatedCurve(<{len(self._values)} values>)"
+        return f"TabulatedCurve(<{self._array.size} values>)"
+
+
+def _build(table: dict, what: str, name, params):
+    """``table[name](**params)``; an unknown name, or an unknown or missing
+    parameter, is a ValueError."""
+    try:
+        cls = table[name]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown {what} {name!r}") from None
+    if not isinstance(params, dict):
+        raise ValueError(f"{what} {name!r} needs a parameter object, got {params!r}")
+    try:
+        return cls(**params)
+    except TypeError as exc:
+        raise ValueError(f"{what} {name!r}: {exc}") from None
 
 
 _CURVE_FAMILIES = {
-    "exponential": lambda p: ExponentialCurve(c=p["c"], a=p["a"]),
-    "polynomial": lambda p: PolynomialCurve(c=p["c"], b=p["b"], rho=p["rho"]),
-    "linear_capped": lambda p: LinearCappedCurve(
-        slope=p["slope"], cap=p["cap"], offset=p.get("offset", 1)
-    ),
-    "constant": lambda p: ConstantCurve(value=p["value"]),
-    "tabulated": lambda p: TabulatedCurve(values=p["values"]),
+    cls.family: cls
+    for cls in (ExponentialCurve, PolynomialCurve, LinearCappedCurve, ConstantCurve, TabulatedCurve)
 }
 
 
@@ -254,14 +235,7 @@ def curve_from_dict(spec: dict) -> RewardCurve:
         params = spec.get("params", {})
     except (TypeError, KeyError) as exc:
         raise ValueError(f"malformed curve spec: {spec!r}") from exc
-    try:
-        builder = _CURVE_FAMILIES[family]
-    except KeyError:
-        raise ValueError(f"unknown curve family {family!r}") from None
-    try:
-        return builder(params)
-    except KeyError as exc:
-        raise ValueError(f"curve family {family!r} is missing parameter {exc}") from None
+    return _build(_CURVE_FAMILIES, "curve family", family, params)
 
 
 class RewardLaw:
@@ -317,8 +291,11 @@ class BoundedUniformLaw(RewardLaw):
     kind = "bounded_uniform"
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "half_width", _real("half_width", self.half_width))
         if self.half_width < 0.0:
             raise ValueError(f"half_width must be >= 0, got {self.half_width}")
+        if not isinstance(self.hoeffding, bool):
+            raise ValueError(f"hoeffding must be true or false, got {self.hoeffding!r}")
 
     def sample(self, rng: np.random.Generator, mean: float) -> float:
         if self.half_width == 0.0:
@@ -334,20 +311,15 @@ class BoundedUniformLaw(RewardLaw):
         return (self.half_width, 1.0 - self.half_width)
 
     def params(self) -> dict:
-        out = {"half_width": float(self.half_width)}
+        out = {"half_width": self.half_width}
         if self.hoeffding:
             out["hoeffding"] = True
         return out
 
 
+_LAWS = {cls.kind: cls for cls in (BernoulliLaw, BoundedUniformLaw)}
+
+
 def law_from_dict(kind: str, params: dict | None = None) -> RewardLaw:
-    params = params or {}
-    if kind == "bernoulli":
-        return BernoulliLaw()
-    if kind == "bounded_uniform":
-        if "half_width" not in params:
-            raise ValueError("bounded_uniform law needs half_width")
-        return BoundedUniformLaw(
-            half_width=params["half_width"], hoeffding=bool(params.get("hoeffding", False))
-        )
-    raise ValueError(f"unknown reward law {kind!r}")
+    """Build a reward law from its serialized kind and parameters."""
+    return _build(_LAWS, "reward law", kind, {} if params is None else params)

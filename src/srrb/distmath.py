@@ -23,8 +23,6 @@ __all__ = [
     "pb_pmf",
     "tv_distance",
     "roos_tv_bound",
-    "posterior_tail_beta",
-    "posterior_tail_gauss",
     "expected_inverse_tail_pb",
     "expected_inverse_tail_binomial",
 ]
@@ -244,31 +242,6 @@ def roos_tv_bound(probs: Sequence[float], mu: float) -> float:
         return c1 * root / (1.0 - root) ** 2
     c2 = (2.0 * math.pi) ** 0.25 * math.exp(1.0 / 24.0) / math.sqrt(2.0)
     return c2 * math.sqrt(eta) * (1.0 + math.sqrt(2.0 * eta)) * math.exp(2.0 * eta)
-
-
-def posterior_tail_beta(successes: int, pulls: int, threshold: float) -> float:
-    """Probability that a Beta(S + 1, N - S + 1) posterior sample exceeds
-    the threshold."""
-    if pulls < 0 or not 0 <= successes <= pulls:
-        raise ValueError("need 0 <= successes <= pulls")
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"threshold must be in (0, 1), got {threshold}")
-    return beta_tail(successes + 1, pulls - successes + 1, threshold)
-
-
-def posterior_tail_gauss(mean: float, pulls: int, precision_scale: float, threshold: float) -> float:
-    """Probability that a Normal(mean, 1 / (precision_scale * pulls))
-    posterior sample exceeds the threshold.
-
-    Thresholds outside (0, 1) are accepted: the Gaussian posterior has
-    unbounded support.
-    """
-    if pulls < 1:
-        raise ValueError("pulls must be >= 1")
-    if precision_scale <= 0.0:
-        raise ValueError("precision_scale must be positive")
-    z = (threshold - mean) * math.sqrt(precision_scale * pulls / 2.0)
-    return 0.5 * math.erfc(z)
 
 
 def _expected_inverse_tail(pmf: np.ndarray, j: int, threshold: float) -> float:

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .analytics import pseudo_regret, wald_regret_bound
+from .curves import _real
 from .instance import Instance
 from .policies import Policy, PolicyConfig, make_policy
 
@@ -27,10 +28,13 @@ __all__ = [
     "run_single",
     "run_batch",
     "sweep",
+    "sweep_point",
     "SWEEP_AXES",
 ]
 
-SWEEP_AXES = ("window_exponent", "forced_pulls")
+# the config field each sweep axis sets
+_AXIS_FIELDS = {"window_exponent": "window", "forced_pulls": "forced_pulls"}
+SWEEP_AXES = tuple(_AXIS_FIELDS)
 
 
 def evaluation_grid(horizon: int, stride: int | None = None) -> np.ndarray:
@@ -236,7 +240,23 @@ class SweepPoint:
 class SweepResult:
     axis: str
     points: list[SweepPoint] = field(default_factory=list)
-    aggregates: list[Aggregate] = field(default_factory=list)
+
+
+def sweep_point(config: PolicyConfig, axis: str, value, horizon: int) -> PolicyConfig:
+    """The configuration of one sweep grid point.
+
+    ``window_exponent`` maps a finite real a to a window of round(T^a)
+    clamped to [1, T]; ``forced_pulls`` takes the value as the count, so it
+    must pass that field's check.
+    """
+    if axis == "window_exponent":
+        exponent = _real("window_exponent", value)
+        # T^a >= T for a >= 1, so clamping a first keeps the power finite
+        window = int(min(max(round(horizon ** min(exponent, 1.0)), 1), horizon))
+        return replace(config, window=window)
+    if axis == "forced_pulls":
+        return replace(config, forced_pulls=value)
+    raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
 
 
 def sweep(
@@ -252,28 +272,17 @@ def sweep(
 ) -> SweepResult:
     """Sensitivity sweep along one configuration axis.
 
-    ``window_exponent`` maps a grid value a to a window of round(T^a)
-    clamped to [1, T]; ``forced_pulls`` uses the grid value directly.
-    Each grid point gets an independent seed derived from (master seed,
-    axis index).
+    Every grid point's configuration is built by :func:`sweep_point`
+    before the first batch runs.  Each grid point gets an independent seed
+    derived from (master seed, axis index).
     """
-    if axis not in SWEEP_AXES:
-        raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
     grid = list(grid)
     if not grid:
         raise ValueError("sweep grid must be non-empty")
     horizon = instance.horizon if horizon is None else int(horizon)
+    configs = [sweep_point(base_config, axis, value, horizon) for value in grid]
     result = SweepResult(axis=axis)
-    for j, value in enumerate(grid):
-        if axis == "window_exponent":
-            # T^a >= T for a >= 1, so clamping a first keeps the power finite
-            window = int(min(max(round(horizon ** min(float(value), 1.0)), 1), horizon))
-            config = replace(base_config, window=window)
-            resolved = window
-        else:
-            forced = int(value)
-            config = replace(base_config, forced_pulls=forced)
-            resolved = forced
+    for j, (value, config) in enumerate(zip(grid, configs)):
         agg = run_batch(
             instance,
             config,
@@ -283,11 +292,10 @@ def sweep(
             parallelism=parallelism,
             stride=stride,
         )
-        result.aggregates.append(agg)
         result.points.append(
             SweepPoint(
                 axis_value=float(value),
-                resolved=resolved,
+                resolved=getattr(config, _AXIS_FIELDS[axis]),
                 mean_final_regret=float(agg.mean_regret[-1]),
                 std_final_regret=float(agg.std_regret[-1]),
             )

@@ -69,6 +69,10 @@ def _positive_real(name: str, value):
     return value if isinstance(value, (int, float)) else float(value)
 
 
+# the one kind-specific parameter each kind reads
+_KIND_PARAMS = {"gauss_swgts": "precision_scale", "ucb1": "ucb_alpha", "sw_ucb": "sw_xi"}
+
+
 @dataclass(frozen=True)
 class PolicyConfig:
     """Declarative policy description, checked in full on construction.
@@ -80,30 +84,41 @@ class PolicyConfig:
     window < T enables sliding windows, and the Gaussian flavor
     conventionally uses forced_pulls >= 1.  ``ucb1`` is SW-UCB with
     xi = ucb_alpha, whose full-horizon window keeps lifetime statistics.
+
+    ``precision_scale``, ``ucb_alpha`` and ``sw_xi`` are read by
+    ``gauss_swgts``, ``ucb1`` and ``sw_ucb`` only, and may be set on that
+    kind only; ``resolve`` fills in their defaults.  The label names the
+    policy's output files, so it must be a plain file name.
     """
 
     kind: str
     forced_pulls: int = 0
     window: int | None = None
-    precision_scale: float | None = None  # Gaussian posterior only
-    ucb_alpha: float = 2.0
-    sw_xi: float = 0.6
+    precision_scale: float | None = None
+    ucb_alpha: float | None = None
+    sw_xi: float | None = None
     label: str | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in POLICY_KINDS:
             raise ValueError(f"unknown policy kind {self.kind!r}; expected one of {POLICY_KINDS}")
-        if self.label is not None and not isinstance(self.label, str):
-            raise ValueError(f"label must be a string, got {self.label!r}")
+        if self.label is not None and (
+            not isinstance(self.label, str)
+            or self.label in ("", ".", "..")
+            or "/" in self.label
+            or "\0" in self.label
+        ):
+            raise ValueError(f"label must be a file name without '/', got {self.label!r}")
         checked = {
             "forced_pulls": _count("forced_pulls", self.forced_pulls, 0),
             "window": None if self.window is None else _count("window", self.window, 1),
-            "precision_scale": None
-            if self.precision_scale is None
-            else _positive_real("precision_scale", self.precision_scale),
-            "ucb_alpha": _positive_real("ucb_alpha", self.ucb_alpha),
-            "sw_xi": _positive_real("sw_xi", self.sw_xi),
         }
+        for name in _KIND_PARAMS.values():
+            value = getattr(self, name)
+            if value is not None:
+                checked[name] = _positive_real(name, value)
+                if name != _KIND_PARAMS.get(self.kind):
+                    raise ValueError(f"{name} does not apply to {self.kind} policies")
         for name, value in checked.items():
             object.__setattr__(self, name, value)
 
@@ -122,19 +137,20 @@ class PolicyConfig:
             window = default_sw_window(horizon) if self.kind == "sw_ucb" else horizon
         if window > horizon:
             raise ValueError(f"window {window} exceeds horizon {horizon}")
-        precision = self.precision_scale
-        if precision is None and self.kind == "gauss_swgts":
+        precision, alpha, xi = self.precision_scale, self.ucb_alpha, self.sw_xi
+        if self.kind == "gauss_swgts" and precision is None:
             precision = min((default_precision_scale(lw) for lw in laws), default=1.0)
-        return replace(self, window=window, precision_scale=precision)
+        if self.kind == "ucb1" and alpha is None:
+            alpha = 2.0
+        if self.kind == "sw_ucb" and xi is None:
+            xi = 0.6
+        return replace(self, window=window, precision_scale=precision, ucb_alpha=alpha, sw_xi=xi)
 
     def to_dict(self) -> dict:
         out = {"kind": self.kind, "forced_pulls": self.forced_pulls, "window": self.window}
-        if self.kind == "gauss_swgts":
-            out["precision_scale"] = self.precision_scale
-        if self.kind == "ucb1":
-            out["ucb_alpha"] = self.ucb_alpha
-        if self.kind == "sw_ucb":
-            out["sw_xi"] = self.sw_xi
+        param = _KIND_PARAMS.get(self.kind)
+        if param is not None:
+            out[param] = getattr(self, param)
         if self.label is not None:
             out["label"] = self.label
         return out

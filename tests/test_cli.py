@@ -209,6 +209,74 @@ class TestRun:
         assert main(["run", "--config", str(path), "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "policy",
+        [
+            {"kind": "beta_swts", "sw_xi": 0.5},
+            {"kind": "sw_ucb", "ucb_alpha": 0.5},
+            {"kind": "ucb1", "precision_scale": 0.5},
+        ],
+    )
+    def test_field_the_kind_does_not_read_exits_2(self, experiment_config, tmp_path, policy):
+        config = json.loads(experiment_config.read_text())
+        config["policies"][1] = policy
+        path = tmp_path / "foreign.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_label_leaving_the_output_directory_exits_2(self, experiment_config, tmp_path):
+        config = json.loads(experiment_config.read_text())
+        config["policies"][1]["label"] = "../escaped"
+        path = tmp_path / "escape.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "escape.json", "experiment.json", "stationary.json"
+        ]
+
+    @pytest.mark.parametrize(
+        "arm",
+        [
+            {"family": "constant", "params": {"value": 0.5, "slope": 1.0}, "law": "bernoulli"},
+            {"family": "constant", "params": {"value": 0.5}, "law": "bernoulli",
+             "law_params": {"half_width": 0.1}},
+            {"family": "constant", "params": {"value": 0.5}, "law": "bounded_uniform",
+             "law_params": {"half_width": 0.1, "hoeffding": "false"}},
+        ],
+    )
+    def test_bad_instance_parameter_exits_2(self, experiment_config, tmp_path, arm):
+        config = json.loads(experiment_config.read_text())
+        doc = {"horizon": 100, "arms": [
+            {"family": "constant", "params": {"value": 0.6}, "law": "bernoulli"}, arm
+        ]}
+        config["instance"] = doc
+        config["horizon"] = 100
+        config["policies"] = [{"kind": "ucb1"}]
+        path = tmp_path / "instance_params.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_negative_master_seed_exits_2(self, experiment_config, tmp_path):
+        config = json.loads(experiment_config.read_text())
+        config["master_seed"] = -1
+        path = tmp_path / "seed.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_negative_seed_flag_exits_2(self, experiment_config, tmp_path):
+        out = tmp_path / "o"
+        argv = ["run", "--config", str(experiment_config), "--out", str(out), "--seed", "-1"]
+        assert main(argv) == 2
+        assert not out.exists()
+
     def test_ucb1_is_sw_ucb_with_its_window(self, experiment_config, tmp_path):
         config = json.loads(experiment_config.read_text())
         config["policies"] = [
@@ -338,6 +406,7 @@ class TestSweep:
             {"axis": "learning_rate", "grid": [1]},
             {"axis": "forced_pulls", "grid": [0, -5]},
             {"axis": "forced_pulls", "grid": [2.5]},
+            {"axis": "forced_pulls", "grid": [3.0]},
             {"axis": "forced_pulls", "grid": [True]},
             {"axis": "window_exponent", "grid": [0.5, "1"]},
         ],

@@ -29,42 +29,41 @@ class TestEvaluation:
         assert curve.mu(3) == Fraction(1, 4)
 
     def test_constant_far_out(self):
-        assert ConstantCurve(0.3).mu(10**6) == 0.3
+        assert (ConstantCurve(0.3).mu_array(10**6) == 0.3).all()
 
     def test_exponential_halving(self):
-        curve = ExponentialCurve(c=1.0, a=math.log(2.0))
+        values = ExponentialCurve(c=1.0, a=math.log(2.0)).mu_array(3)
         # 1 - 2^-n evaluated directly
-        assert curve.mu(3) == pytest.approx(0.875, rel=1e-14)
-        assert curve.mu(1) == pytest.approx(0.5, rel=1e-14)
+        np.testing.assert_allclose(values, [0.5, 0.75, 0.875], rtol=1e-14)
 
     def test_polynomial_zero_b_is_constant(self):
-        curve = PolynomialCurve(c=0.7, b=0.0, rho=0.5)
-        assert curve.mu(1) == pytest.approx(0.7)
-        assert curve.mu(100) == pytest.approx(0.7)
+        values = PolynomialCurve(c=0.7, b=0.0, rho=0.5).mu_array(100)
+        np.testing.assert_allclose(values, 0.7)
 
     def test_tabulated_constant_extension(self):
         curve = TabulatedCurve([0.1, 0.4, 0.9])
-        assert curve.mu(2) == 0.4
-        assert curve.mu(3) == 0.9
-        assert curve.mu(50) == 0.9
-        np.testing.assert_allclose(curve.mu_array(5), [0.1, 0.4, 0.9, 0.9, 0.9])
+        np.testing.assert_array_equal(curve.mu_array(2), [0.1, 0.4])
+        np.testing.assert_array_equal(curve.mu_array(5), [0.1, 0.4, 0.9, 0.9, 0.9])
+        assert curve.mu_array(50)[-1] == 0.9
 
-    def test_mu_array_matches_scalar(self):
-        curves = [
-            ExponentialCurve(c=0.8, a=0.13),
-            PolynomialCurve(c=0.9, b=2.5, rho=0.4),
-            LinearCappedCurve(slope=0.01, cap=0.6),
-            ConstantCurve(0.25),
-            TabulatedCurve([0.0, 0.2, 0.2, 0.7]),
+    def test_mu_array_matches_closed_forms(self):
+        n = np.arange(1, 11)
+        cases = [
+            (ExponentialCurve(c=0.8, a=0.13), [0.8 * (1 - math.exp(-0.13 * k)) for k in n]),
+            (
+                PolynomialCurve(c=0.9, b=2.5, rho=0.4),
+                [0.9 * (1 - 2.5 * (k + 2.5 ** (1 / 0.4)) ** -0.4) for k in n],
+            ),
+            (LinearCappedCurve(slope=0.01, cap=0.6), [0.01 * (k - 1) for k in n]),
+            (ConstantCurve(0.25), [0.25] * 10),
+            (TabulatedCurve([0.0, 0.2, 0.2, 0.7]), [0.0, 0.2, 0.2] + [0.7] * 7),
         ]
-        for curve in curves:
-            array = curve.mu_array(10)
-            for n in range(1, 11):
-                assert array[n - 1] == pytest.approx(float(curve.mu(n)), rel=1e-15)
+        for curve, expected in cases:
+            np.testing.assert_allclose(curve.mu_array(10), expected, rtol=1e-14, atol=1e-17)
 
     def test_rejects_n_zero(self):
         with pytest.raises(ValueError):
-            ConstantCurve(0.5).mu(0)
+            LinearCappedCurve(slope=0.1, cap=0.5).mu(0)
 
 
 class TestValidation:
@@ -91,6 +90,19 @@ class TestValidation:
             TabulatedCurve([0.5, 0.4])
         with pytest.raises(ValueError):
             TabulatedCurve([])
+
+    @pytest.mark.parametrize("bad", ["0.5", True, None, math.nan, math.inf])
+    def test_parameters_must_be_finite_numbers(self, bad):
+        with pytest.raises(ValueError):
+            ConstantCurve(bad)
+        with pytest.raises(ValueError):
+            TabulatedCurve([0.1, bad])
+        with pytest.raises(ValueError):
+            PolynomialCurve(c=0.5, b=bad, rho=0.5)
+
+    def test_constant_and_tabulated_store_floats(self):
+        assert type(ConstantCurve(Fraction(1, 4)).value) is float
+        assert TabulatedCurve([0, Fraction(1, 2)]).params() == {"values": [0.0, 0.5]}
 
 
 class TestMonotonicity:
@@ -149,6 +161,12 @@ class TestSerialization:
         with pytest.raises(ValueError):
             curve_from_dict({"family": "exponential", "params": {"c": 0.5}})
 
+    def test_unknown_parameter(self):
+        with pytest.raises(ValueError, match="'d'"):
+            curve_from_dict({"family": "exponential", "params": {"c": 0.5, "a": 0.1, "d": 1}})
+        with pytest.raises(ValueError):
+            curve_from_dict({"family": "tabulated", "params": {"values": [0.1], "extra": 0}})
+
 
 class TestLaws:
     def test_bernoulli_samples_binary_with_exact_mean(self):
@@ -184,3 +202,19 @@ class TestLaws:
     def test_unknown_law(self):
         with pytest.raises(ValueError):
             law_from_dict("gamma", {})
+
+    @pytest.mark.parametrize(
+        "kind, params",
+        [
+            ("bernoulli", {"p": 0.5}),
+            ("bounded_uniform", {}),
+            ("bounded_uniform", {"half_width": 0.1, "width": 0.2}),
+            ("bounded_uniform", {"half_width": 0.1, "hoeffding": "false"}),
+            ("bounded_uniform", {"half_width": 0.1, "hoeffding": 0}),
+            ("bounded_uniform", {"half_width": math.nan}),
+            ("bounded_uniform", {"half_width": "0.1"}),
+        ],
+    )
+    def test_rejects_bad_law_params(self, kind, params):
+        with pytest.raises(ValueError):
+            law_from_dict(kind, params)

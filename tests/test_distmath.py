@@ -1,5 +1,5 @@
 """Distribution numerics against independent oracles: direct enumeration
-with exact combinatorics, scipy's incomplete-beta route, and mpmath."""
+with exact combinatorics and scipy's incomplete-beta route."""
 
 import itertools
 import math
@@ -20,8 +20,6 @@ from srrb.distmath import (
     expected_inverse_tail_binomial,
     expected_inverse_tail_pb,
     pb_pmf,
-    posterior_tail_beta,
-    posterior_tail_gauss,
     roos_tv_bound,
     tv_distance,
 )
@@ -266,48 +264,6 @@ class TestRoosTvBound:
     def test_rejects_degenerate_mu(self):
         with pytest.raises(ValueError):
             roos_tv_bound([0.5], 1.0)
-
-
-class TestPosteriorTails:
-    def test_flat_prior(self):
-        for y in (0.25, 0.5, 0.8):
-            assert posterior_tail_beta(0, 0, y) == pytest.approx(1 - y, rel=1e-14)
-
-    def test_all_successes_closed_form(self):
-        for n in (1, 5, 20):
-            for y in (0.3, 0.7):
-                assert posterior_tail_beta(n, n, y) == pytest.approx(1 - y ** (n + 1), rel=1e-13)
-
-    def test_equals_binomial_cdf(self):
-        for n in range(0, 15):
-            for s in range(n + 1):
-                for y in (0.15, 0.55, 0.85):
-                    assert posterior_tail_beta(s, n, y) == binomial_cdf(n + 1, y, s)
-
-    def test_gauss_median(self):
-        assert posterior_tail_gauss(0.4, 10, 2.0, 0.4) == pytest.approx(0.5, rel=1e-15)
-
-    def test_gauss_saturates(self):
-        # ten standard deviations below the mean: the tail is 1 up to an
-        # erfc(7.07) ~ 1e-23 deficit, below double resolution around 1.0
-        scale = 1.0
-        n = 4
-        low = 0.3 - 10.0 / math.sqrt(scale * n)
-        assert posterior_tail_gauss(0.3, n, scale, low) >= 1.0 - 1e-15
-
-    def test_gauss_standard_normal_tail(self):
-        # mean 0, variance 1, threshold 1: the standard normal upper tail
-        assert posterior_tail_gauss(0.0, 1, 1.0, 1.0) == pytest.approx(
-            0.15865525393145707, abs=1e-15
-        )
-
-    def test_gauss_against_mpmath(self):
-        mp = pytest.importorskip("mpmath")
-        mp.mp.dps = 40
-        for m, n, g, y in [(0.2, 7, 0.5, 0.6), (0.9, 3, 1.0, 0.1), (0.5, 100, 0.25, 0.53)]:
-            z = (y - m) * math.sqrt(g * n / 2.0)
-            expected = float(0.5 * mp.erfc(z))
-            assert posterior_tail_gauss(m, n, g, y) == pytest.approx(expected, rel=1e-13)
 
 
 class TestExpectedInverseTail:

@@ -1,6 +1,8 @@
 """Experiment runner: determinism, seed derivation, aggregation, and the
 rested reward semantics."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -240,6 +242,26 @@ class TestSweep:
             master_seed=3,
         )
         assert [p.resolved for p in result.points] == [0, 5, 20]
+
+    @pytest.mark.parametrize(
+        "axis, value",
+        [
+            ("forced_pulls", 2.5),
+            ("forced_pulls", -1),
+            ("forced_pulls", True),
+            ("window_exponent", math.nan),
+            ("window_exponent", True),
+            ("window_exponent", "0.5"),
+        ],
+    )
+    def test_bad_grid_value_fails_before_any_batch(self, monkeypatch, axis, value):
+        import srrb.harness
+
+        batches = []
+        monkeypatch.setattr(srrb.harness, "run_batch", lambda *a, **k: batches.append(a))
+        with pytest.raises(ValueError, match=axis):
+            sweep(stationary([0.6, 0.5]), PolicyConfig(kind="beta_swts"), axis, [0, value])
+        assert batches == []
 
     def test_window_exponent_clamps(self):
         inst = stationary([0.6, 0.5], horizon=100)

@@ -101,6 +101,32 @@ class TestConfig:
         with pytest.raises(ValueError, match=field):
             PolicyConfig(kind="gauss_swgts", **{field: value})
 
+    @pytest.mark.parametrize(
+        "kind, field",
+        [
+            ("beta_swts", "sw_xi"),
+            ("beta_swts", "ucb_alpha"),
+            ("beta_swts", "precision_scale"),
+            ("sw_ucb", "ucb_alpha"),
+            ("ucb1", "precision_scale"),
+            ("gauss_swgts", "sw_xi"),
+        ],
+    )
+    def test_rejects_fields_the_kind_does_not_read(self, kind, field):
+        with pytest.raises(ValueError, match=f"{field} does not apply to {kind}"):
+            PolicyConfig(kind=kind, **{field: 0.5})
+
+    def test_resolve_fills_the_kind_parameter(self):
+        assert PolicyConfig(kind="ucb1").resolve(horizon=10).ucb_alpha == 2.0
+        assert PolicyConfig(kind="sw_ucb").resolve(horizon=10).sw_xi == 0.6
+        resolved = PolicyConfig(kind="beta_swts").resolve(horizon=10)
+        assert (resolved.ucb_alpha, resolved.sw_xi, resolved.precision_scale) == (None,) * 3
+
+    @pytest.mark.parametrize("label", ["", ".", "..", "../escaped", "a/b", "/abs", "nul\0"])
+    def test_label_must_be_a_file_name(self, label):
+        with pytest.raises(ValueError, match="label"):
+            PolicyConfig(kind="ucb1", label=label)
+
     def test_numpy_numbers_become_python_numbers(self):
         cfg = PolicyConfig(
             kind="sw_ucb", forced_pulls=np.int32(2), window=np.int64(5), sw_xi=np.float32(0.5)
