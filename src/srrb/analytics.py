@@ -214,8 +214,8 @@ def pull_bound_terms(
         raise ValueError(f"flavor must be 'beta' or 'gauss', got {flavor!r}")
     if not 0.0 < eps <= 1.0:
         raise ValueError(f"eps must be in (0, 1], got {eps}")
-    if precision_scale <= 0.0:
-        raise ValueError("precision_scale must be positive")
+    if not (math.isfinite(precision_scale) and precision_scale > 0.0):
+        raise ValueError(f"precision_scale must be finite and positive, got {precision_scale}")
     report = sigma_complexity(instance)
     if sigma < report.overall or sigma > instance.horizon:
         raise ValueError(
@@ -350,10 +350,13 @@ class AnalysisReport:
         return out
 
 
+# the exponents q of the growth index in every report
+GROWTH_EXPONENTS = (0.25, 0.5, 0.75, 1.0)
+
+
 def build_report(
     instance: Instance,
     tau_list=(),
-    q_grid=(0.25, 0.5, 0.75, 1.0),
     bound_sigma: int | None = None,
     bound_flavor: str = "beta",
     bound_forced: int = 0,
@@ -373,8 +376,8 @@ def build_report(
             "fresh": gaps(instance, i, horizon, 1),
         }
     if horizon >= 2:
-        for q in q_grid:
-            report.growth[float(q)] = growth_index(instance, horizon, float(q))
+        for q in GROWTH_EXPONENTS:
+            report.growth[q] = growth_index(instance, horizon, q)
     if bound_sigma is not None:
         report.bound_terms = pull_bound_terms(
             instance,

@@ -12,6 +12,8 @@ import argparse
 import hashlib
 import json
 import sys
+from contextlib import contextmanager
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
@@ -32,7 +34,19 @@ class ConfigError(Exception):
     pass
 
 
-def _load_json(path: str) -> dict:
+@contextmanager
+def _config_errors(prefix: str = ""):
+    """Report a ValueError or TypeError raised while checking an input as
+    a ConfigError; an InvalidInstanceError stays one."""
+    try:
+        yield
+    except InvalidInstanceError:
+        raise
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{prefix}{exc}") from None
+
+
+def _load_json(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
@@ -42,19 +56,13 @@ def _load_json(path: str) -> dict:
         raise ConfigError(f"{path}: not valid JSON ({exc})") from None
 
 
-def _instance_from_spec(spec, base_dir: Path) -> tuple[Instance, dict]:
-    """Inline instance document or {"file": path} reference."""
-    if isinstance(spec, dict) and set(spec) == {"file"}:
-        path = Path(spec["file"])
-        if not path.is_absolute():
-            path = base_dir / path
-        spec = _load_json(str(path))
-    try:
+def _instance_from_spec(spec, base_dir: Path = Path()) -> tuple[Instance, dict]:
+    """Inline instance document or {"file": path} reference, the path
+    relative to ``base_dir``; returns the instance and its document."""
+    if isinstance(spec, dict) and set(spec) == {"file"} and isinstance(spec["file"], str):
+        spec = _load_json(base_dir / spec["file"])
+    with _config_errors("bad instance document: "):
         return Instance.from_dict(spec), spec
-    except InvalidInstanceError:
-        raise
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"bad instance document: {exc}") from None
 
 
 def _canonical_hash(document: dict) -> str:
@@ -66,37 +74,13 @@ def _format_float(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _cleanup(paths: list[Path]) -> None:
-    for p in paths:
-        try:
-            p.unlink()
-        except OSError:
-            pass
-
-
 def cmd_analyze(args) -> int:
+    instance, _ = _instance_from_spec({"file": args.instance})
     try:
-        spec = _load_json(args.instance)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        instance = Instance.from_dict(spec)
-    except InvalidInstanceError as exc:
-        print(f"invalid instance: {exc}", file=sys.stderr)
-        return EXIT_INSTANCE
-    except (ValueError, TypeError) as exc:
-        print(f"error: bad instance document: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    tau_list = []
-    if args.tau_list:
-        try:
-            tau_list = [int(v) for v in args.tau_list.split(",") if v.strip()]
-        except ValueError:
-            print("error: --tau-list must be comma-separated integers", file=sys.stderr)
-            return EXIT_CONFIG
-    try:
+        tau_list = [int(v) for v in args.tau_list.split(",") if v.strip()]
+    except ValueError:
+        raise ConfigError("--tau-list must be comma-separated integers") from None
+    with _config_errors():
         report = build_report(
             instance,
             tau_list=tau_list,
@@ -106,9 +90,6 @@ def cmd_analyze(args) -> int:
             bound_eps=args.bound_eps,
             bound_precision_scale=args.bound_precision_scale,
         )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     document = {"version": __version__, "instance_hash": _canonical_hash(instance.to_dict())}
     document.update(report.to_dict())
     payload = json.dumps(document, indent=2, sort_keys=True, allow_nan=False)
@@ -120,27 +101,34 @@ def cmd_analyze(args) -> int:
 
 
 def _parse_experiment(args):
+    """Check the whole experiment config before anything runs.
+
+    Returns the instance anchored at the run horizon, the JSON header, the
+    (label, resolved config) pairs, the ``run_batch`` keywords and the
+    config's sweep section.
+    """
     config = _load_json(args.config)
     if not isinstance(config, dict):
         raise ConfigError("experiment config must be a JSON object")
-    base_dir = Path(args.config).resolve().parent
     if "instance" not in config:
         raise ConfigError("experiment config needs an 'instance'")
+    base_dir = Path(args.config).resolve().parent
     instance, instance_doc = _instance_from_spec(config["instance"], base_dir)
     runs = args.runs if args.runs is not None else config.get("runs", 1)
     master_seed = args.seed if args.seed is not None else config.get("master_seed", 0)
     stride = args.stride if args.stride is not None else config.get("stride")
-    try:
+    with _config_errors():
         horizon = _count("horizon", config.get("horizon", instance.horizon), 1)
         runs = _count("runs", runs, 1)
         # the seed is SeedSequence entropy, which must be >= 0
         master_seed = _count("master_seed", master_seed, 0)
         stride = None if stride is None else _count("stride", stride, 1)
         _count("--threads", args.threads, 1)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
     if horizon > instance.horizon:
         raise ConfigError(f"horizon {horizon} exceeds the instance horizon {instance.horizon}")
+    if horizon < instance.horizon:
+        # the optimal arm and its uniqueness depend on the horizon
+        instance = Instance(instance.arms, horizon)
     policy_specs = config.get("policies", [])
     if not policy_specs:
         raise ConfigError("experiment config needs at least one policy")
@@ -148,26 +136,23 @@ def _parse_experiment(args):
     policies = []
     labels = set()
     for spec in policy_specs:
-        try:
+        with _config_errors(f"bad policy entry {spec!r}: "):
             cfg = PolicyConfig(**spec)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad policy entry {spec!r}: {exc}") from None
         label = cfg.label or cfg.kind
         if label in labels:
             raise ConfigError(f"duplicate policy label {label!r}")
         labels.add(label)
-        try:
-            # every arm's law, so a mismatch cannot surface mid-run
+        # every arm's law, so a mismatch cannot surface mid-run
+        with _config_errors(f"policy {label!r}: "):
             policies.append((label, cfg.resolve(horizon, laws)))
-        except ValueError as exc:
-            raise ConfigError(f"policy {label!r}: {exc}") from None
     header = {
         "instance_hash": _canonical_hash(instance_doc),
         "horizon": horizon,
         "runs": runs,
         "master_seed": master_seed,
     }
-    return instance, header, horizon, policies, runs, master_seed, stride, config.get("sweep")
+    batch = {"runs": runs, "master_seed": master_seed, "parallelism": args.threads, "stride": stride}
+    return instance, header, policies, batch, config.get("sweep")
 
 
 def _write_outputs(out_dir: Path, header: dict, policies, simulate, json_name: str) -> int:
@@ -175,9 +160,8 @@ def _write_outputs(out_dir: Path, header: dict, policies, simulate, json_name: s
     ``header`` plus every policy's entry.
 
     ``simulate(label, cfg)`` returns (CSV name, CSV lines, JSON entry).
-    On failure the files written so far are removed; a run that exceeded
-    its pull-count regret bound is a property violation, anything else is
-    a bug and keeps its traceback.
+    On any failure the files written so far are removed and the error
+    propagates.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
@@ -194,33 +178,18 @@ def _write_outputs(out_dir: Path, header: dict, policies, simulate, json_name: s
             json.dumps(combined, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
         written.append(json_path)
-    except AssertionError as exc:
-        _cleanup(written)
-        print(f"property violation: {exc}", file=sys.stderr)
-        return EXIT_VIOLATION
     except BaseException:
-        _cleanup(written)
+        for path in written:
+            path.unlink(missing_ok=True)
         raise
     return EXIT_OK
 
 
 def cmd_run(args) -> int:
-    try:
-        instance, header, horizon, policies, runs, master_seed, stride, _ = _parse_experiment(args)
-    except (ConfigError, InvalidInstanceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    instance, header, policies, batch, _ = _parse_experiment(args)
 
     def simulate(label, cfg):
-        aggregate = run_batch(
-            instance,
-            cfg,
-            horizon=horizon,
-            runs=runs,
-            master_seed=master_seed,
-            parallelism=args.threads,
-            stride=stride,
-        )
+        aggregate = run_batch(instance, cfg, **batch)
         lines = ["grid_t,mean_regret,std_regret"] + [
             f"{int(t)},{_format_float(float(m))},{_format_float(float(s))}"
             for t, m, s in zip(aggregate.grid, aggregate.mean_regret, aggregate.std_regret)
@@ -232,54 +201,28 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        instance, header, horizon, policies, runs, master_seed, stride, sweep_spec = (
-            _parse_experiment(args)
-        )
-        if not sweep_spec:
-            raise ConfigError("sweep requires a 'sweep' section in the config")
-        if not isinstance(sweep_spec, dict) or "axis" not in sweep_spec or "grid" not in sweep_spec:
-            raise ConfigError("sweep section needs 'axis' and 'grid'")
-        axis = sweep_spec["axis"]
-        grid = sweep_spec["grid"]
-        if not isinstance(grid, list) or not grid:
-            raise ConfigError("sweep grid must be a non-empty list")
-        try:
-            for _, cfg in policies:
-                for value in grid:
-                    sweep_point(cfg, axis, value, horizon)
-        except ValueError as exc:
-            raise ConfigError(f"bad sweep section: {exc}") from None
-    except (ConfigError, InvalidInstanceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    instance, header, policies, batch, sweep_spec = _parse_experiment(args)
+    if not sweep_spec:
+        raise ConfigError("sweep requires a 'sweep' section in the config")
+    if not isinstance(sweep_spec, dict) or "axis" not in sweep_spec or "grid" not in sweep_spec:
+        raise ConfigError("sweep section needs 'axis' and 'grid'")
+    axis = sweep_spec["axis"]
+    grid = sweep_spec["grid"]
+    if not isinstance(grid, list) or not grid:
+        raise ConfigError("sweep grid must be a non-empty list")
+    with _config_errors("bad sweep section: "):
+        for _, cfg in policies:
+            for value in grid:
+                sweep_point(cfg, axis, value, instance.horizon)
 
     def simulate(label, cfg):
-        result = sweep(
-            instance,
-            cfg,
-            axis=axis,
-            grid=grid,
-            horizon=horizon,
-            runs=runs,
-            master_seed=master_seed,
-            parallelism=args.threads,
-            stride=stride,
-        )
+        result = sweep(instance, cfg, axis=axis, grid=grid, **batch)
         lines = ["axis_value,resolved,mean_final_regret,std_final_regret"] + [
             f"{_format_float(p.axis_value)},{p.resolved},"
             f"{_format_float(p.mean_final_regret)},{_format_float(p.std_final_regret)}"
             for p in result.points
         ]
-        points = [
-            {
-                "axis_value": p.axis_value,
-                "resolved": p.resolved,
-                "mean_final_regret": p.mean_final_regret,
-                "std_final_regret": p.std_final_regret,
-            }
-            for p in result.points
-        ]
+        points = [asdict(p) for p in result.points]
         return f"{label}_sweep.csv", lines, {"config": cfg.to_dict(), "points": points}
 
     header = {**header, "axis": axis, "grid": grid}
@@ -288,13 +231,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_verify(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    try:
-        results = run_suites(names)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     all_ok = True
-    for suite in results:
+    for suite in run_suites(names):
         for check in suite.checks:
             print(f"{suite.name}: {check.line()}")
             all_ok &= check.passed
@@ -303,11 +241,8 @@ def cmd_verify(args) -> int:
 
 def cmd_lower_bound(args) -> int:
     out_dir = Path(args.out)
-    try:
+    with _config_errors():
         pair = lower_bound_instances(args.arms, args.sigma_bar, args.horizon)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     out_dir.mkdir(parents=True, exist_ok=True)
     base_path = out_dir / "instance_base.json"
     boosted_path = out_dir / "instance_boosted.json"
@@ -383,8 +318,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; the one place that maps errors to exit codes."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except AssertionError as exc:
+        print(f"property violation: {exc}", file=sys.stderr)
+        return EXIT_VIOLATION
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except InvalidInstanceError as exc:
+        print(f"invalid instance: {exc}", file=sys.stderr)
+        return EXIT_INSTANCE
 
 
 if __name__ == "__main__":

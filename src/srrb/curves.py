@@ -38,17 +38,24 @@ __all__ = [
 Real = Union[int, float, Fraction]
 
 
+def _as_float(value: numbers.Real) -> float:
+    """``float(value)``, with an integer or Fraction too large for a float
+    as an infinity of its sign."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def _real(name: str, value, exact: bool = False) -> Real:
     """A finite real number (no ``bool``) as a float; with ``exact``, ints
     and Fractions are kept as given."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
-    if exact and isinstance(value, (int, Fraction)):
-        return value
-    value = float(value)
-    if not math.isfinite(value):
+    as_float = _as_float(value)
+    if not math.isfinite(as_float):
         raise ValueError(f"{name} must be finite, got {value!r}")
-    return value
+    return value if exact and isinstance(value, (int, Fraction)) else as_float
 
 
 def _check_unit_interval(name: str, value: float, open_left: bool = False) -> None:
@@ -113,7 +120,8 @@ class PolynomialCurve(RewardCurve):
     The shift b**(1/rho) keeps the value non-negative at n = 1 for every
     b, since b * (n + b**(1/rho))**(-rho) < 1 always.  In floating point
     that term can round to just above 1 when the shift is huge, so the
-    value is clamped at 0.
+    value is clamped at 0.  A shift past the largest float absorbs every
+    n, where the clamped value is 0 too.
     """
 
     c: float
@@ -129,7 +137,10 @@ class PolynomialCurve(RewardCurve):
 
     def mu_array(self, limit: int) -> np.ndarray:
         n = np.arange(1, limit + 1, dtype=float)
-        shift = self.b ** (1.0 / self.rho) if self.b > 0.0 else 0.0
+        try:
+            shift = self.b ** (1.0 / self.rho) if self.b > 0.0 else 0.0
+        except OverflowError:
+            return np.zeros(limit)
         return np.maximum(self.c * (1.0 - self.b * (n + shift) ** (-self.rho)), 0.0)
 
 

@@ -264,7 +264,6 @@ def sweep(
     base_config: PolicyConfig,
     axis: str,
     grid,
-    horizon: int | None = None,
     runs: int = 1,
     master_seed: int = 0,
     parallelism: int = 1,
@@ -272,21 +271,20 @@ def sweep(
 ) -> SweepResult:
     """Sensitivity sweep along one configuration axis.
 
-    Every grid point's configuration is built by :func:`sweep_point`
-    before the first batch runs.  Each grid point gets an independent seed
-    derived from (master seed, axis index).
+    Every run spans the instance's horizon.  Every grid point's
+    configuration is built by :func:`sweep_point` before the first batch
+    runs.  Each grid point gets an independent seed derived from (master
+    seed, axis index).
     """
     grid = list(grid)
     if not grid:
         raise ValueError("sweep grid must be non-empty")
-    horizon = instance.horizon if horizon is None else int(horizon)
-    configs = [sweep_point(base_config, axis, value, horizon) for value in grid]
+    configs = [sweep_point(base_config, axis, value, instance.horizon) for value in grid]
     result = SweepResult(axis=axis)
     for j, (value, config) in enumerate(zip(grid, configs)):
         agg = run_batch(
             instance,
             config,
-            horizon=horizon,
             runs=runs,
             master_seed=child_seed(master_seed, j),
             parallelism=parallelism,

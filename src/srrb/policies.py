@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .curves import RewardLaw
+from .curves import RewardLaw, _as_float
 
 __all__ = [
     "PolicyConfig",
@@ -63,7 +63,7 @@ def _positive_real(name: str, value):
     if (
         isinstance(value, bool)
         or not isinstance(value, numbers.Real)
-        or not (math.isfinite(value) and value > 0)
+        or not (math.isfinite(_as_float(value)) and value > 0)
     ):
         raise ValueError(f"{name} must be a finite positive number, got {value!r}")
     return value if isinstance(value, (int, float)) else float(value)

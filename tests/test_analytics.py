@@ -389,6 +389,12 @@ class TestBoundTerms:
             assert term_iii == pytest.approx(direct, rel=1e-12)
 
 
+    @pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf])
+    def test_precision_scale_must_be_finite_and_positive(self, scale):
+        with pytest.raises(ValueError, match="precision_scale"):
+            pull_bound_terms(rising_toy(), sigma=20, flavor="gauss", precision_scale=scale)
+
+
 class TestReport:
     def test_full_report_roundtrips_to_dict(self):
         inst = rising_toy()

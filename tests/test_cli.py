@@ -5,9 +5,14 @@ shapes, with the numerics covered by the library tests.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import srrb
 from srrb.cli import main
 from srrb.instance import load_instance
 
@@ -43,6 +48,37 @@ def experiment_config(tmp_path, stationary_file):
     return path
 
 
+# two equal arms: the optimal arm is not unique
+TIE = {
+    "horizon": 10,
+    "arms": [
+        {"family": "constant", "params": {"value": 0.5}, "law": "bernoulli"},
+        {"family": "constant", "params": {"value": 0.5}, "law": "bernoulli"},
+    ],
+}
+
+
+# unique optimum (arm 1) at T = 200, but equal averages over the first 10 rounds
+LATE_RISER = {
+    "horizon": 200,
+    "arms": [
+        {"family": "constant", "params": {"value": 0.5}, "law": "bernoulli"},
+        {"family": "tabulated", "params": {"values": [0.5] * 10 + [0.9]}, "law": "bernoulli"},
+    ],
+}
+
+
+def _late_riser_config(tmp_path, horizon=10):
+    path = tmp_path / "late.json"
+    path.write_text(json.dumps({
+        "instance": LATE_RISER,
+        "horizon": horizon,
+        "policies": [{"kind": "ucb1"}],
+        "sweep": {"axis": "forced_pulls", "grid": [0, 1]},
+    }))
+    return path
+
+
 class TestAnalyze:
     def test_stationary_report(self, stationary_file, tmp_path):
         out = tmp_path / "report.json"
@@ -73,20 +109,20 @@ class TestAnalyze:
         missing = tmp_path / "nope.json"
         assert main(["analyze", str(missing)]) == 2
 
-    def test_non_unique_optimum_exits_3(self, tmp_path):
+    def test_non_unique_optimum_exits_3(self, tmp_path, capsys):
         tie = tmp_path / "tie.json"
-        tie.write_text(
-            json.dumps(
-                {
-                    "horizon": 10,
-                    "arms": [
-                        {"family": "constant", "params": {"value": 0.5}, "law": "bernoulli"},
-                        {"family": "constant", "params": {"value": 0.5}, "law": "bernoulli"},
-                    ],
-                }
-            )
-        )
+        tie.write_text(json.dumps(TIE))
         assert main(["analyze", str(tie)]) == 3
+        assert "invalid instance: optimal arm is not unique" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scale", ["nan", "inf", "-1"])
+    def test_non_finite_precision_scale_exits_2(self, stationary_file, tmp_path, capsys, scale):
+        out = tmp_path / "report.json"
+        argv = ["analyze", str(stationary_file), "--bound-sigma", "5", "--bound-flavor", "gauss",
+                "--bound-precision-scale", scale, "--out", str(out)]
+        assert main(argv) == 2
+        assert "error: precision_scale" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unreachable_window_threshold_is_strict_json(self, tmp_path):
         # a late bloomer's final value is never reached by the optimal
@@ -161,6 +197,64 @@ class TestRun:
             )
         )
         assert main(["run", "--config", str(dup), "--out", str(tmp_path / "o2")]) == 2
+        not_a_path = tmp_path / "not_a_path.json"
+        not_a_path.write_text(json.dumps({"instance": {"file": 5}, "policies": [{"kind": "ucb1"}]}))
+        assert main(["run", "--config", str(not_a_path), "--out", str(tmp_path / "o3")]) == 2
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_non_unique_optimum_exits_3(self, tmp_path, capsys, command):
+        config = tmp_path / "tie.json"
+        config.write_text(json.dumps({
+            "instance": TIE,
+            "policies": [{"kind": "ucb1"}],
+            "sweep": {"axis": "forced_pulls", "grid": [0]},
+        }))
+        out = tmp_path / "o"
+        assert main([command, "--config", str(config), "--out", str(out)]) == 3
+        assert "invalid instance: optimal arm is not unique" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_tie_at_the_config_horizon_exits_3_before_any_output(self, tmp_path, command):
+        config = _late_riser_config(tmp_path)
+        out = tmp_path / "o"
+        assert main([command, "--config", str(config), "--out", str(out)]) == 3
+        assert not out.exists()
+        # the instance itself is valid at its own horizon
+        assert main([command, "--config", str(_late_riser_config(tmp_path, 200)),
+                     "--out", str(out)]) == 0
+
+    def test_tie_at_the_config_horizon_as_a_process(self, tmp_path):
+        out = tmp_path / "o"
+        src = str(Path(srrb.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "srrb.cli", "run", "--config", str(_late_riser_config(tmp_path)),
+             "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("invalid instance: optimal arm is not unique")
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("where", ["ucb_alpha", "curve"])
+    def test_integer_too_large_for_a_float_exits_2(self, experiment_config, tmp_path, capsys, where):
+        config = json.loads(experiment_config.read_text())
+        if where == "ucb_alpha":
+            config["policies"][1]["ucb_alpha"] = 10**400
+        else:
+            config["instance"] = {"horizon": 200, "arms": [
+                {"family": "constant", "params": {"value": 10**400}, "law": "bernoulli"},
+                {"family": "constant", "params": {"value": 0.5}, "law": "bernoulli"},
+            ]}
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert "1" + "0" * 400 in capsys.readouterr().err
+        assert not out.exists()
 
     def test_every_arm_law_checked_before_any_output(self, tmp_path, capsys):
         doc = {

@@ -129,6 +129,11 @@ class TestRandomRisingInstance:
             not np.array_equal(a.expected_rewards(i), b.expected_rewards(i)) for i in range(5)
         )
 
+    def test_polynomial_shift_overflow_builds(self):
+        # seed 43 draws a polynomial arm whose shift b ** (1 / rho) overflows
+        inst = random_rising_instance(100, num_arms=15, seed=43)
+        assert inst.num_arms == 15
+
     def test_curves_valid_for_bernoulli(self):
         inst = random_rising_instance(300, num_arms=15, seed=7)
         for i in range(15):

@@ -40,6 +40,11 @@ class TestEvaluation:
         values = PolynomialCurve(c=0.7, b=0.0, rho=0.5).mu_array(100)
         np.testing.assert_allclose(values, 0.7)
 
+    def test_polynomial_shift_past_the_largest_float_is_zero(self):
+        # b ** (1 / rho) = 1e1000 overflows; n + shift == shift, so mu is 0
+        values = PolynomialCurve(c=0.6, b=1e10, rho=0.01).mu_array(5)
+        np.testing.assert_array_equal(values, np.zeros(5))
+
     def test_tabulated_constant_extension(self):
         curve = TabulatedCurve([0.1, 0.4, 0.9])
         np.testing.assert_array_equal(curve.mu_array(2), [0.1, 0.4])
@@ -99,6 +104,15 @@ class TestValidation:
             TabulatedCurve([0.1, bad])
         with pytest.raises(ValueError):
             PolynomialCurve(c=0.5, b=bad, rho=0.5)
+
+    def test_integer_too_large_for_a_float_is_not_finite(self):
+        huge = 10**400
+        with pytest.raises(ValueError, match=f"value must be finite, got {huge}"):
+            ConstantCurve(huge)
+        with pytest.raises(ValueError, match="slope must be finite"):
+            LinearCappedCurve(slope=huge, cap=Fraction(1, 2), offset=1)
+        with pytest.raises(ValueError, match="b must be finite"):
+            PolynomialCurve(c=0.5, b=-huge, rho=0.5)
 
     def test_constant_and_tabulated_store_floats(self):
         assert type(ConstantCurve(Fraction(1, 4)).value) is float

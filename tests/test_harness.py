@@ -231,6 +231,20 @@ class TestSweep:
         )
         assert result.points[0].mean_final_regret == direct.mean_regret[-1]
 
+    def test_runs_at_the_instance_horizon(self):
+        # sweep has no horizon of its own: a shorter run is a shorter instance
+        inst = stationary([0.6, 0.5], horizon=400)
+        short = Instance(inst.arms, 150)
+        with pytest.raises(TypeError, match="horizon"):
+            sweep(inst, PolicyConfig(kind="beta_swts"), "forced_pulls", [0], horizon=150)
+        result = sweep(short, PolicyConfig(kind="beta_swts"), "window_exponent", [1.0], runs=2)
+        assert result.points[0].resolved == 150
+        direct = run_batch(
+            inst, PolicyConfig(kind="beta_swts", window=150), horizon=150, runs=2,
+            master_seed=child_seed(0, 0),
+        )
+        assert result.points[0].mean_final_regret == direct.mean_regret[-1]
+
     def test_forced_pull_axis_resolves_values(self):
         inst = stationary([0.6, 0.5], horizon=300)
         result = sweep(

@@ -90,6 +90,8 @@ class TestConfig:
             ("window", 0),
             ("ucb_alpha", True),
             ("ucb_alpha", 0.0),
+            pytest.param("ucb_alpha", 10**400, id="ucb_alpha-too-large-for-a-float"),
+            pytest.param("precision_scale", -(10**400), id="precision_scale-too-large-for-a-float"),
             ("sw_xi", math.nan),
             ("sw_xi", "0.6"),
             ("precision_scale", math.inf),
