@@ -19,7 +19,7 @@ from pathlib import Path
 from . import __version__
 from .analytics import build_report
 from .constructions import lower_bound_instances
-from .harness import run_batch, sweep, sweep_point
+from .harness import run_batches, sweep, sweep_point
 from .instance import Instance, InvalidInstanceError, dump_instance
 from .policies import PolicyConfig, _count
 from .verify import SUITES, run_suites
@@ -104,7 +104,7 @@ def _parse_experiment(args):
     """Check the whole experiment config before anything runs.
 
     Returns the instance anchored at the run horizon, the JSON header, the
-    (label, resolved config) pairs, the ``run_batch`` keywords and the
+    (label, resolved config) pairs, the ``sweep`` keywords and the
     config's sweep section.
     """
     config = _load_json(args.config)
@@ -124,11 +124,7 @@ def _parse_experiment(args):
         master_seed = _count("master_seed", master_seed, 0)
         stride = None if stride is None else _count("stride", stride, 1)
         _count("--threads", args.threads, 1)
-    if horizon > instance.horizon:
-        raise ConfigError(f"horizon {horizon} exceeds the instance horizon {instance.horizon}")
-    if horizon < instance.horizon:
-        # the optimal arm and its uniqueness depend on the horizon
-        instance = Instance(instance.arms, horizon)
+        instance = instance.at_horizon(horizon)
     policy_specs = config.get("policies", [])
     if not policy_specs:
         raise ConfigError("experiment config needs at least one policy")
@@ -155,49 +151,38 @@ def _parse_experiment(args):
     return instance, header, policies, batch, config.get("sweep")
 
 
-def _write_outputs(out_dir: Path, header: dict, policies, simulate, json_name: str) -> int:
-    """Simulate each policy, write its CSV, then one JSON document of
-    ``header`` plus every policy's entry.
-
-    ``simulate(label, cfg)`` returns (CSV name, CSV lines, JSON entry).
-    On any failure the files written so far are removed and the error
-    propagates.
-    """
+def _write_outputs(out_dir: Path, files: dict, json_name: str, document: dict) -> None:
+    """Write each CSV of ``files`` (name to lines), then ``document`` as
+    ``json_name``.  On any failure the files written so far are removed
+    and the error propagates."""
+    texts = {out_dir / name: "\n".join(lines) + "\n" for name, lines in files.items()}
+    texts[out_dir / json_name] = json.dumps(document, indent=2, sort_keys=True) + "\n"
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
-    combined = {"version": __version__, **header, "results": {}}
     try:
-        for label, cfg in policies:
-            csv_name, lines, entry = simulate(label, cfg)
-            csv_path = out_dir / csv_name
-            csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-            written.append(csv_path)
-            combined["results"][label] = entry
-        json_path = out_dir / json_name
-        json_path.write_text(
-            json.dumps(combined, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-        written.append(json_path)
+        for path, text in texts.items():
+            written.append(path)
+            path.write_text(text, encoding="utf-8")
     except BaseException:
         for path in written:
             path.unlink(missing_ok=True)
         raise
-    return EXIT_OK
 
 
 def cmd_run(args) -> int:
     instance, header, policies, batch, _ = _parse_experiment(args)
-
-    def simulate(label, cfg):
-        aggregate = run_batch(instance, cfg, **batch)
-        lines = ["grid_t,mean_regret,std_regret"] + [
+    batches = [(cfg, batch["runs"], batch["master_seed"]) for _, cfg in policies]
+    aggregates = run_batches(instance, batches, batch["parallelism"], batch["stride"])
+    files, results = {}, {}
+    for (label, cfg), aggregate in zip(policies, aggregates):
+        files[f"{label}.csv"] = ["grid_t,mean_regret,std_regret"] + [
             f"{int(t)},{_format_float(float(m))},{_format_float(float(s))}"
             for t, m, s in zip(aggregate.grid, aggregate.mean_regret, aggregate.std_regret)
         ]
-        entry = {"config": cfg.to_dict(), "aggregate": aggregate.to_dict()}
-        return f"{label}.csv", lines, entry
-
-    return _write_outputs(Path(args.out), header, policies, simulate, "results.json")
+        results[label] = {"config": cfg.to_dict(), "aggregate": aggregate.to_dict()}
+    document = {"version": __version__, **header, "results": results}
+    _write_outputs(Path(args.out), files, "results.json", document)
+    return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
@@ -215,18 +200,18 @@ def cmd_sweep(args) -> int:
             for value in grid:
                 sweep_point(cfg, axis, value, instance.horizon)
 
-    def simulate(label, cfg):
+    files, results = {}, {}
+    for label, cfg in policies:
         result = sweep(instance, cfg, axis=axis, grid=grid, **batch)
-        lines = ["axis_value,resolved,mean_final_regret,std_final_regret"] + [
+        files[f"{label}_sweep.csv"] = ["axis_value,resolved,mean_final_regret,std_final_regret"] + [
             f"{_format_float(p.axis_value)},{p.resolved},"
             f"{_format_float(p.mean_final_regret)},{_format_float(p.std_final_regret)}"
             for p in result.points
         ]
-        points = [asdict(p) for p in result.points]
-        return f"{label}_sweep.csv", lines, {"config": cfg.to_dict(), "points": points}
-
-    header = {**header, "axis": axis, "grid": grid}
-    return _write_outputs(Path(args.out), header, policies, simulate, "sweep.json")
+        results[label] = {"config": cfg.to_dict(), "points": [asdict(p) for p in result.points]}
+    document = {"version": __version__, **header, "axis": axis, "grid": grid, "results": results}
+    _write_outputs(Path(args.out), files, "sweep.json", document)
+    return EXIT_OK
 
 
 def cmd_verify(args) -> int:

@@ -27,6 +27,7 @@ __all__ = [
     "child_seed",
     "run_single",
     "run_batch",
+    "run_batches",
     "sweep",
     "sweep_point",
     "SWEEP_AXES",
@@ -63,7 +64,6 @@ def child_seed(master_seed: int, *key: int) -> int:
 class RunRecord:
     """One simulated trajectory."""
 
-    run_index: int
     grid: np.ndarray  # recorded round indices, starting at 0
     regret: np.ndarray  # cumulative pseudo-regret at each grid round
     pull_counts: np.ndarray  # final lifetime pulls per arm
@@ -119,13 +119,8 @@ def run_single(
     sibling child of the same seed, so the whole record is a deterministic
     function of (instance, policy, horizon, seed).
     """
-    horizon = instance.horizon if horizon is None else int(horizon)
-    if not 1 <= horizon <= instance.horizon:
-        raise ValueError(f"horizon must be in [1, {instance.horizon}], got {horizon}")
-    if horizon != instance.horizon:
-        # re-anchor on the run horizon: the optimal arm, the regret
-        # reference, and the uniqueness check all depend on it
-        instance = Instance(instance.arms, horizon)
+    instance = instance.at_horizon(horizon)
+    horizon = instance.horizon
     policy_ss, reward_ss = np.random.SeedSequence(seed).spawn(2)
     laws = [arm.law for arm in instance.arms]
     if isinstance(policy, PolicyConfig):
@@ -148,7 +143,6 @@ def run_single(
     pulls = np.array(pulls, dtype=np.int32)
     regret = np.concatenate(([0.0], pseudo_regret(instance, pulls)))
     return RunRecord(
-        run_index=0,
         grid=grid,
         regret=regret[grid],
         pull_counts=np.array(counts, dtype=np.int64),
@@ -156,22 +150,9 @@ def run_single(
     )
 
 
-_WORKER_STATE: dict = {}
-
-
-def _init_worker(instance, config, horizon, stride):
-    _WORKER_STATE["args"] = (instance, config, horizon, stride)
-
-
-def _run_indexed(task):
-    run_index, seed = task
-    instance, config, horizon, stride = _WORKER_STATE["args"]
-    return _execute_run(instance, config, horizon, stride, run_index, seed)
-
-
-def _execute_run(instance, config, horizon, stride, run_index, seed):
-    record = run_single(instance, config, horizon, seed=seed, record_pulls=False, stride=stride)
-    record.run_index = run_index
+def _checked_run(instance, stride, config, run_index, seed) -> RunRecord:
+    """One run of a batch, checked against its pull-count regret bound."""
+    record = run_single(instance, config, seed=seed, record_pulls=False, stride=stride)
     bound = wald_regret_bound(instance, record.pull_counts)
     if record.final_regret > bound + 1e-9:
         raise AssertionError(
@@ -179,6 +160,65 @@ def _execute_run(instance, config, horizon, stride, run_index, seed):
             f"its pull-count bound {bound}"
         )
     return record
+
+
+# what a pool worker shares across all its tasks: (instance, stride)
+_WORKER_STATE: dict = {}
+
+
+def _init_worker(instance, stride):
+    _WORKER_STATE["args"] = (instance, stride)
+
+
+def _worker_run(task):
+    return _checked_run(*_WORKER_STATE["args"], *task)
+
+
+def run_batches(
+    instance: Instance, batches, parallelism: int = 1, stride: int | None = None
+) -> list[Aggregate]:
+    """Run several batches of ``(config, runs, master_seed)`` on one
+    instance, each run spanning the instance's horizon.
+
+    All runs of all batches form one task list, run serially or on a
+    single process pool.  Run ``r`` of a batch is seeded by
+    ``child_seed(master_seed, r)`` and checked against its pull-count
+    regret bound; each batch reduces its runs in run-index order, so
+    parallelism never changes a result.
+    """
+    if parallelism < 1:
+        raise ValueError("parallelism must be >= 1")
+    batches = list(batches)
+    if any(runs < 1 for _, runs, _ in batches):
+        raise ValueError("runs must be >= 1")
+    tasks = [(cfg, r, child_seed(seed, r)) for cfg, runs, seed in batches for r in range(runs)]
+    workers = min(parallelism, len(tasks))
+    if workers <= 1:
+        records = [_checked_run(instance, stride, *task) for task in tasks]
+    else:
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_init_worker, initargs=(instance, stride)
+        ) as pool:
+            chunksize = max(1, len(tasks) // (4 * workers))
+            records = list(pool.map(_worker_run, tasks, chunksize=chunksize))
+
+    aggregates, pending = [], iter(records)
+    for _, runs, master_seed in batches:
+        batch = [next(pending) for _ in range(runs)]
+        trajectories = np.stack([rec.regret for rec in batch])
+        all_counts = np.stack([rec.pull_counts for rec in batch])
+        aggregates.append(
+            Aggregate(
+                grid=batch[0].grid,
+                mean_regret=trajectories.mean(axis=0),
+                std_regret=trajectories.std(axis=0),
+                mean_pull_counts=all_counts.mean(axis=0),
+                runs=runs,
+                master_seed=master_seed,
+                horizon=instance.horizon,
+            )
+        )
+    return aggregates
 
 
 def run_batch(
@@ -190,42 +230,11 @@ def run_batch(
     parallelism: int = 1,
     stride: int | None = None,
 ) -> Aggregate:
-    """Run ``runs`` independent trajectories and aggregate them.
-
-    Every run's final regret is checked against its pull-count regret
-    bound as a safety net.  Aggregation is a sequential reduce over run
-    indices, so parallelism never changes the result.
-    """
-    if runs < 1:
-        raise ValueError("runs must be >= 1")
-    if parallelism < 1:
-        raise ValueError("parallelism must be >= 1")
-    horizon = instance.horizon if horizon is None else int(horizon)
-    if horizon != instance.horizon:
-        # slice once here so workers skip the per-run rebuild
-        instance = Instance(instance.arms, horizon)
-    tasks = [(r, child_seed(master_seed, r)) for r in range(runs)]
-    if parallelism == 1 or runs == 1:
-        records = [_execute_run(instance, config, horizon, stride, r, s) for r, s in tasks]
-    else:
-        with ProcessPoolExecutor(
-            max_workers=min(parallelism, runs),
-            initializer=_init_worker,
-            initargs=(instance, config, horizon, stride),
-        ) as pool:
-            records = list(pool.map(_run_indexed, tasks, chunksize=max(1, runs // (4 * parallelism))))
-
-    trajectories = np.stack([rec.regret for rec in records])
-    all_counts = np.stack([rec.pull_counts for rec in records])
-    return Aggregate(
-        grid=records[0].grid,
-        mean_regret=trajectories.mean(axis=0),
-        std_regret=trajectories.std(axis=0),
-        mean_pull_counts=all_counts.mean(axis=0),
-        runs=runs,
-        master_seed=master_seed,
-        horizon=horizon,
-    )
+    """Run ``runs`` independent trajectories and aggregate them: the
+    one-batch view of :func:`run_batches` on the instance cut to
+    ``horizon``."""
+    batches = [(config, runs, master_seed)]
+    return run_batches(instance.at_horizon(horizon), batches, parallelism, stride)[0]
 
 
 @dataclass
@@ -273,29 +282,24 @@ def sweep(
 
     Every run spans the instance's horizon.  Every grid point's
     configuration is built by :func:`sweep_point` before the first batch
-    runs.  Each grid point gets an independent seed derived from (master
-    seed, axis index).
+    runs, and all points run in one :func:`run_batches` call.  Each grid
+    point gets an independent seed derived from (master seed, axis index).
     """
     grid = list(grid)
     if not grid:
         raise ValueError("sweep grid must be non-empty")
     configs = [sweep_point(base_config, axis, value, instance.horizon) for value in grid]
-    result = SweepResult(axis=axis)
-    for j, (value, config) in enumerate(zip(grid, configs)):
-        agg = run_batch(
-            instance,
-            config,
-            runs=runs,
-            master_seed=child_seed(master_seed, j),
-            parallelism=parallelism,
-            stride=stride,
-        )
-        result.points.append(
+    batches = [(config, runs, child_seed(master_seed, j)) for j, config in enumerate(configs)]
+    aggregates = run_batches(instance, batches, parallelism, stride)
+    return SweepResult(
+        axis=axis,
+        points=[
             SweepPoint(
                 axis_value=float(value),
                 resolved=getattr(config, _AXIS_FIELDS[axis]),
                 mean_final_regret=float(agg.mean_regret[-1]),
                 std_final_regret=float(agg.std_regret[-1]),
             )
-        )
-    return result
+            for value, config, agg in zip(grid, configs, aggregates)
+        ],
+    )

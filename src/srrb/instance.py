@@ -9,7 +9,7 @@ import numpy as np
 
 from .curves import RewardCurve, RewardLaw, curve_from_dict, law_from_dict
 
-__all__ = ["Arm", "Instance", "InvalidInstanceError", "load_instance", "dump_instance"]
+__all__ = ["Arm", "Instance", "InvalidInstanceError", "dump_instance"]
 
 
 class InvalidInstanceError(ValueError):
@@ -86,6 +86,20 @@ class Instance:
     def optimal_arm(self) -> int:
         return self._optimal_arm
 
+    def at_horizon(self, horizon: int | None) -> "Instance":
+        """This instance re-anchored at a run horizon of ``horizon`` rounds.
+
+        The optimal arm, the regret reference and the uniqueness check all
+        depend on the horizon, so a shorter run needs a shorter instance.
+        ``None`` or the instance's own horizon returns ``self``.
+        """
+        if horizon is None or horizon == self._horizon:
+            return self
+        if not 1 <= horizon <= self._horizon:
+            raise ValueError(f"horizon must be in [1, {self._horizon}], got {horizon}")
+        # a plain Instance: a subclass may take other constructor arguments
+        return Instance(self._arms, int(horizon))
+
     def _check_arm(self, i: int) -> None:
         if not 0 <= i < len(self._arms):
             raise IndexError(f"arm index {i} out of range for {len(self._arms)} arms")
@@ -113,15 +127,6 @@ class Instance:
         """Vector of averages for t = 1..T (non-decreasing for rising arms)."""
         self._check_arm(i)
         return self._prefix[i, 1:] / np.arange(1, self._horizon + 1)
-
-    def windowed_avg_expected_reward(self, i: int, t: int, tau: int) -> float:
-        """Mean of mu_i over the tau pull indices ending at t; needs t >= tau."""
-        self._check_arm(i)
-        if tau < 1:
-            raise ValueError(f"window must be >= 1, got {tau}")
-        if not tau <= t <= self._horizon:
-            raise ValueError(f"round must be in [{tau}, {self._horizon}], got {t}")
-        return float((self._prefix[i, t] - self._prefix[i, t - tau]) / tau)
 
     def windowed_avg_expected_rewards(self, i: int, tau: int) -> np.ndarray:
         """Vector of windowed averages for t = tau..T."""
@@ -160,13 +165,6 @@ class Instance:
 
     def __repr__(self) -> str:
         return f"Instance(K={self.num_arms}, T={self._horizon}, optimal_arm={self._optimal_arm})"
-
-
-def load_instance(path) -> Instance:
-    """Read an instance document (JSON) from disk."""
-    with open(path, "r", encoding="utf-8") as fh:
-        spec = json.load(fh)
-    return Instance.from_dict(spec)
 
 
 def dump_instance(instance: Instance, path) -> None:

@@ -159,9 +159,9 @@ class TestWindowedSigma:
             for i, sig in report.per_arm_sigma.items():
                 if math.isinf(sig):
                     continue
-                expected = inst.windowed_avg_expected_reward(star, int(sig), tau) - (
-                    inst.expected_reward(i, inst.horizon)
-                )
+                # mean of mu_star over the tau pulls ending at sig, recounted
+                window = inst.expected_rewards(star)[int(sig) - tau : int(sig)]
+                expected = math.fsum(window) / tau - inst.expected_reward(i, inst.horizon)
                 assert report.per_arm_gap[i] == pytest.approx(expected, rel=1e-12)
                 assert report.per_arm_gap[i] > 0.0
 

@@ -14,7 +14,11 @@ import pytest
 
 import srrb
 from srrb.cli import main
-from srrb.instance import load_instance
+from srrb.instance import Instance
+
+
+def _read_instance(path):
+    return Instance.from_dict(json.loads(path.read_text()))
 
 
 @pytest.fixture
@@ -200,6 +204,11 @@ class TestRun:
         not_a_path = tmp_path / "not_a_path.json"
         not_a_path.write_text(json.dumps({"instance": {"file": 5}, "policies": [{"kind": "ucb1"}]}))
         assert main(["run", "--config", str(not_a_path), "--out", str(tmp_path / "o3")]) == 2
+        too_long = tmp_path / "too_long.json"
+        too_long.write_text(json.dumps(
+            {"instance": {"file": str(stationary_file)}, "horizon": 201, "policies": [{"kind": "ucb1"}]}
+        ))
+        assert main(["run", "--config", str(too_long), "--out", str(tmp_path / "o4")]) == 2
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
     def test_non_unique_optimum_exits_3(self, tmp_path, capsys, command):
@@ -397,23 +406,22 @@ class TestRun:
         monkeypatch.setattr(srrb.harness, "wald_regret_bound", lambda instance, counts: -1.0)
         out = tmp_path / "o"
         assert main(["run", "--config", str(experiment_config), "--out", str(out)]) == 1
-        assert not any(out.iterdir())
+        # nothing is written before every run has finished
+        assert not out.exists()
 
     def test_unexpected_error_raises_and_removes_outputs(
         self, experiment_config, tmp_path, monkeypatch
     ):
-        import srrb.cli
-
         calls = []
-        real_run_batch = srrb.cli.run_batch
+        real_write_text = Path.write_text
 
-        def failing_second_batch(*args, **kwargs):
-            calls.append(1)
+        def failing_second_write(path, *args, **kwargs):
+            calls.append(path.name)
             if len(calls) == 2:
                 raise RuntimeError("boom")
-            return real_run_batch(*args, **kwargs)
+            return real_write_text(path, *args, **kwargs)
 
-        monkeypatch.setattr(srrb.cli, "run_batch", failing_second_batch)
+        monkeypatch.setattr(Path, "write_text", failing_second_write)
         out = tmp_path / "o"
         with pytest.raises(RuntimeError, match="boom"):
             main(["run", "--config", str(experiment_config), "--out", str(out)])
@@ -535,7 +543,7 @@ class TestLowerBound:
         assert code == 0
         summary = json.loads((out / "lower_bound.json").read_text())
         assert summary["regret_bound"] == 1.875
-        base = load_instance(out / "instance_base.json")
+        base = _read_instance(out / "instance_base.json")
         assert base.num_arms == 15
 
     def test_degenerate_budget_still_valid(self, tmp_path):
@@ -545,8 +553,8 @@ class TestLowerBound:
         ) == 0
         summary = json.loads((out / "lower_bound.json").read_text())
         assert summary["regret_bound"] == 0.0
-        load_instance(out / "instance_base.json")
-        load_instance(out / "instance_boosted.json")
+        _read_instance(out / "instance_base.json")
+        _read_instance(out / "instance_boosted.json")
 
     def test_emitted_instance_passes_analyze_within_budget(self, tmp_path):
         out = tmp_path / "lb3"

@@ -1,6 +1,7 @@
 """Experiment runner: determinism, seed derivation, aggregation, and the
 rested reward semantics."""
 
+import json
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from srrb.analytics import pseudo_regret, wald_regret_bound
 from srrb.curves import BernoulliLaw, BoundedUniformLaw, ConstantCurve, TabulatedCurve
+from srrb.cli import main
 from srrb.harness import child_seed, evaluation_grid, run_batch, run_single, sweep
 from srrb.instance import Arm, Instance
 from srrb.policies import PolicyConfig
@@ -197,6 +199,14 @@ class TestRunBatch:
         np.testing.assert_array_equal(serial.std_regret, parallel.std_regret)
         np.testing.assert_array_equal(serial.mean_pull_counts, parallel.mean_pull_counts)
 
+    @pytest.mark.parametrize("horizon", [0, 201, 400])
+    def test_horizon_outside_the_instance_rejected(self, horizon):
+        inst = stationary([0.6, 0.5], horizon=200)
+        with pytest.raises(ValueError, match="horizon must be in"):
+            run_batch(inst, PolicyConfig(kind="beta_swts"), horizon=horizon)
+        with pytest.raises(ValueError, match="horizon must be in"):
+            run_single(inst, PolicyConfig(kind="beta_swts"), horizon=horizon)
+
     def test_population_std_convention(self):
         inst = stationary([0.6, 0.5], horizon=200)
         agg = run_batch(inst, PolicyConfig(kind="beta_swts"), runs=4, master_seed=5)
@@ -272,7 +282,7 @@ class TestSweep:
         import srrb.harness
 
         batches = []
-        monkeypatch.setattr(srrb.harness, "run_batch", lambda *a, **k: batches.append(a))
+        monkeypatch.setattr(srrb.harness, "run_batches", lambda *a, **k: batches.append(a))
         with pytest.raises(ValueError, match=axis):
             sweep(stationary([0.6, 0.5]), PolicyConfig(kind="beta_swts"), axis, [0, value])
         assert batches == []
@@ -298,3 +308,40 @@ class TestSweep:
                 axis="learning_rate",
                 grid=[1],
             )
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The max_workers of every process pool the harness starts."""
+    import srrb.harness
+
+    started = []
+
+    class CountingPool(srrb.harness.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(srrb.harness, "ProcessPoolExecutor", CountingPool)
+    return started
+
+
+class TestOnePool:
+    @pytest.mark.parametrize("parallelism, expected", [(1, []), (2, [2])])
+    def test_sweep_starts_at_most_one_pool(self, pools, parallelism, expected):
+        inst = stationary([0.6, 0.5], horizon=100)
+        sweep(inst, PolicyConfig(kind="beta_swts"), "forced_pulls", [0, 1, 2], runs=2,
+              parallelism=parallelism)
+        assert pools == expected
+
+    @pytest.mark.parametrize("threads, expected", [("1", []), ("2", [2])])
+    def test_run_starts_at_most_one_pool(self, pools, tmp_path, threads, expected):
+        config = tmp_path / "experiment.json"
+        config.write_text(json.dumps({
+            "instance": stationary([0.6, 0.5], horizon=100).to_dict(),
+            "runs": 2,
+            "policies": [{"kind": "beta_swts"}, {"kind": "ucb1"}],
+        }))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out), "--threads", threads]) == 0
+        assert pools == expected

@@ -1,6 +1,7 @@
 """Instance construction, average-reward caches, and file round-trips."""
 
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +14,7 @@ from srrb.curves import (
     LinearCappedCurve,
     TabulatedCurve,
 )
-from srrb.instance import Arm, Instance, InvalidInstanceError, dump_instance, load_instance
+from srrb.instance import Arm, Instance, InvalidInstanceError, dump_instance
 
 
 def stationary(values, horizon=100):
@@ -25,6 +26,35 @@ def lower_bound_arm(cap, sigma_internal=4):
         LinearCappedCurve(slope=Fraction(1, 2 * sigma_internal), cap=cap, offset=1),
         BoundedUniformLaw(half_width=0.0),
     )
+
+
+class TestAtHorizon:
+    def test_same_or_no_horizon_is_the_same_object(self):
+        inst = stationary([0.3, 0.2])
+        assert inst.at_horizon(None) is inst
+        assert inst.at_horizon(100) is inst
+
+    def test_shorter_horizon_reanchors_the_optimum(self):
+        bloomer = TabulatedCurve([0.0] * 60 + [0.9] * 40)
+        inst = Instance([Arm(ConstantCurve(0.3), BernoulliLaw()), Arm(bloomer, BernoulliLaw())], 100)
+        short = inst.at_horizon(50)
+        assert (short.horizon, short.optimal_arm, inst.optimal_arm) == (50, 0, 1)
+        assert short.arms == inst.arms
+
+    def test_subclass_cuts_to_a_plain_instance(self):
+        class Tagged(Instance):
+            def __init__(self, tag, arms, horizon):
+                self.tag = tag
+                super().__init__(arms, horizon)
+
+        inst = Tagged("t", stationary([0.3, 0.2]).arms, 100)
+        assert inst.at_horizon(100) is inst
+        assert type(inst.at_horizon(40)) is Instance
+
+    @pytest.mark.parametrize("horizon", [0, -1, 101])
+    def test_horizon_outside_the_instance_rejected(self, horizon):
+        with pytest.raises(ValueError, match="horizon must be in"):
+            stationary([0.3, 0.2]).at_horizon(horizon)
 
 
 class TestAverages:
@@ -67,28 +97,31 @@ class TestWindowedAverages:
     def test_full_window_equals_plain_average(self):
         inst = Instance([lower_bound_arm(Fraction(1, 2)), lower_bound_arm(Fraction(1, 4))], 60)
         for t in (1, 13, 60):
-            assert inst.windowed_avg_expected_reward(0, t, t) == inst.avg_expected_reward(0, t)
+            assert inst.windowed_avg_expected_rewards(0, t)[0] == inst.avg_expected_reward(0, t)
 
     def test_constant_any_window(self):
         inst = stationary([0.4, 0.1], horizon=50)
-        assert inst.windowed_avg_expected_reward(0, 20, 5) == pytest.approx(0.4, rel=1e-15)
+        # entry t - tau is the window ending at round t
+        assert inst.windowed_avg_expected_rewards(0, 5)[20 - 5] == pytest.approx(0.4, rel=1e-15)
 
     def test_two_term_window(self):
         ramp = TabulatedCurve([n / 10 for n in range(1, 11)])
         inst = Instance([Arm(ramp, BernoulliLaw()), Arm(ConstantCurve(0.05), BernoulliLaw())], 10)
-        assert inst.windowed_avg_expected_reward(0, 5, 2) == pytest.approx(0.45, rel=1e-14)
+        assert inst.windowed_avg_expected_rewards(0, 2)[5 - 2] == pytest.approx(0.45, rel=1e-14)
 
     def test_partial_window_rejected(self):
         inst = stationary([0.4, 0.1], horizon=50)
-        with pytest.raises(ValueError):
-            inst.windowed_avg_expected_reward(0, 3, 4)
+        for tau in (0, 51):
+            with pytest.raises(ValueError):
+                inst.windowed_avg_expected_rewards(0, tau)
 
-    def test_vectorized_windows_match_scalar(self):
+    def test_vectorized_windows_match_direct_means(self):
         inst = Instance([lower_bound_arm(Fraction(1, 2)), lower_bound_arm(Fraction(1, 4))], 40)
         tau = 7
         vector = inst.windowed_avg_expected_rewards(0, tau)
+        mus = inst.expected_rewards(0)
         for idx, t in enumerate(range(tau, 41)):
-            assert vector[idx] == inst.windowed_avg_expected_reward(0, t, tau)
+            assert vector[idx] == pytest.approx(math.fsum(mus[t - tau : t]) / tau, rel=1e-14)
 
 
 class TestValidation:
@@ -142,7 +175,7 @@ class TestSerialization:
         inst = stationary([0.6, 0.5], horizon=42)
         path = tmp_path / "instance.json"
         dump_instance(inst, path)
-        again = load_instance(path)
+        again = Instance.from_dict(json.loads(path.read_text()))
         assert again.to_dict() == inst.to_dict()
         # emit(parse(emit(x))) is byte-stable
         path2 = tmp_path / "instance2.json"
@@ -157,7 +190,7 @@ class TestSerialization:
         )
         path = tmp_path / "inst.json"
         dump_instance(inst, path)
-        assert load_instance(path).expected_reward(0, 1) == value
+        assert Instance.from_dict(json.loads(path.read_text())).expected_reward(0, 1) == value
 
     def test_schema_errors(self):
         with pytest.raises(ValueError):
