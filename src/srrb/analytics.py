@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distmath import bernoulli_kl, binomial_pmf, tv_distance
+from .distmath import bernoulli_kl, binomial_pmf, binomial_pmfs, tv_distance
 from .instance import Instance
 
 __all__ = [
@@ -265,6 +265,7 @@ def _tv_term(
     total = 0.0
     log_one_minus = math.log1p(-y_ref) if y_ref < 1.0 else -math.inf
     pb = np.ones(1)
+    references = binomial_pmfs(y_ref, max(forced, 1), sigma)  # binomial_pmf(j, y_ref) per j
     for j in range(1, sigma):
         if flavor == "gauss" and not tv_trivial:
             # success-count law of the optimal arm after j pulls, built
@@ -278,9 +279,9 @@ def _tv_term(
         if tv_trivial:
             tv = 1.0
         elif flavor == "beta":
-            tv = tv_distance(binomial_pmf(j, instance.avg_expected_reward(star, j)), binomial_pmf(j, y_ref))
+            tv = tv_distance(binomial_pmf(j, instance.avg_expected_reward(star, j)), next(references))
         else:
-            tv = tv_distance(pb, binomial_pmf(j, y_ref))
+            tv = tv_distance(pb, next(references))
         if tv == 0.0:
             continue
         if flavor == "beta":

@@ -1,23 +1,29 @@
 """Distribution numerics for Bernoulli/Beta posteriors and Poisson-Binomial laws.
 
-Everything here is a pure function of its inputs.  The binomial CDF is
-computed with a term recurrence anchored at the mode (no incomplete-beta
-machinery), the Poisson-Binomial pmf with the usual O(n^2) convolution,
-and the Beta tail through the discrete Beta-Binomial identity, so all
-routines stay in elementary arithmetic.
+Everything here is a pure function of its inputs.  The binomial CDF and
+pmf are computed with a term recurrence anchored at the mode (no
+incomplete-beta machinery); for the pmf the recurrence runs as a
+sequential numpy cumulative product, and as a Python loop for small n,
+with the same bits either way.  ``binomial_pmfs`` walks the trial count
+upward and carries the exact anchor from one count to the next, which is
+how the total-variation term of the pull bounds gets its reference pmfs.
+The Poisson-Binomial pmf uses the usual O(n^2) convolution and the Beta
+tail the discrete Beta-Binomial identity, so all routines stay in
+elementary arithmetic.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 __all__ = [
     "bernoulli_kl",
     "binomial_pmf",
+    "binomial_pmfs",
     "binomial_cdf",
     "beta_tail",
     "pb_pmf",
@@ -32,6 +38,10 @@ PB_MAX_LEN = 4096
 # Terms smaller than this (relative to the running total) cannot move the
 # final double, so the CDF recurrence stops there.
 _TERM_CUTOFF = 1e-22
+
+# From this many trials on, binomial_pmf's recurrences run as numpy
+# cumulative products; below it a Python loop is faster.
+_CUMPROD_MIN_N = 64
 
 
 def bernoulli_kl(x: float, y: float) -> float:
@@ -61,6 +71,23 @@ def _binomial_mode(n: int, p: float) -> int:
     return min(max(mode, 0), n)
 
 
+def _dyadic(p: float) -> tuple[int, int, int]:
+    """Integers ip, iq and e with p = ip * 2^e and 1 - p = iq * 2^e exactly."""
+    frac = Fraction(p)
+    ip, e = frac.numerator, -(frac.denominator.bit_length() - 1)
+    return ip, (1 << -e) - ip, e
+
+
+def _round_scaled(num: int, exp2: int) -> float:
+    """num * 2^exp2 as a float: keep 64 leading bits, then scale back."""
+    shift = max(num.bit_length() - 64, 0)
+    return math.ldexp(num >> shift, shift + exp2)
+
+
+def _exact_numerator(n: int, s: int, ip: int, iq: int) -> int:
+    return math.comb(n, s) * pow(ip, s) * pow(iq, n - s)
+
+
 def _exact_pmf_value(n: int, s: int, p: float) -> float:
     """C(n,s) p^s (1-p)^(n-s) evaluated in exact integer arithmetic.
 
@@ -70,25 +97,17 @@ def _exact_pmf_value(n: int, s: int, p: float) -> float:
     relative error of the whole CDF at recurrence-rounding level even for
     n = 1e5.
     """
-    frac = Fraction(p)
-    ip, e = frac.numerator, -(frac.denominator.bit_length() - 1)
-    iq = (1 << -e) - ip  # 1 - p as an integer at the same scale
-    num = math.comb(n, s) * pow(ip, s) * pow(iq, n - s)
-    if num == 0:
-        return 0.0
-    # round to float: keep 64 leading bits, then scale back
-    shift = max(num.bit_length() - 64, 0)
-    return math.ldexp(num >> shift, shift + e * n)
+    ip, iq, e = _dyadic(p)
+    return _round_scaled(_exact_numerator(n, s, ip, iq), e * n)
 
 
-def _anchor_pmf(n: int, s: int, p: float) -> float:
-    # Fast float path when C(n,s) is representable and the powers cannot
-    # underflow; otherwise fall back to exact rationals.
-    if n <= 1000:
-        lo = s * math.log(p) + (n - s) * math.log1p(-p)
-        if lo > -700.0:
-            return math.comb(n, s) * math.pow(p, s) * math.pow(1.0 - p, n - s)
-    return _exact_pmf_value(n, s, p)
+def _float_anchor(n: int, s: int, p: float) -> float | None:
+    """C(n,s) p^s (1-p)^(n-s) in float arithmetic, or None where that is
+    unsafe (C(n,s) not representable, or the powers could underflow) and
+    the anchor needs the exact integer form."""
+    if n <= 1000 and s * math.log(p) + (n - s) * math.log1p(-p) > -700.0:
+        return math.comb(n, s) * math.pow(p, s) * math.pow(1.0 - p, n - s)
+    return None
 
 
 def binomial_cdf(n: int, p: float, k: int) -> float:
@@ -114,7 +133,9 @@ def binomial_cdf(n: int, p: float, k: int) -> float:
 
     q = 1.0 - p
     anchor_s = min(_binomial_mode(n, p), k)
-    anchor = _anchor_pmf(n, anchor_s, p)
+    anchor = _float_anchor(n, anchor_s, p)
+    if anchor is None:
+        anchor = _exact_pmf_value(n, anchor_s, p)
 
     terms = [anchor]
     # downward from the anchor: ratio pmf(s-1)/pmf(s) = s q / ((n-s+1) p)
@@ -135,32 +156,103 @@ def binomial_cdf(n: int, p: float, k: int) -> float:
     return min(math.fsum(terms), 1.0)
 
 
+def _degenerate_pmf(n: int, p: float) -> np.ndarray:
+    """The pmf of Binomial(n, p) for p = 0 or p = 1: all mass on 0 or n."""
+    out = np.zeros(n + 1)
+    out[0 if p == 0.0 else n] = 1.0
+    return out
+
+
+def _pmf_from_anchor(n: int, p: float, mode: int, anchor: float) -> np.ndarray:
+    """The pmf of Binomial(n, p), 0 < p < 1, from its value at the mode.
+
+    The ratio recurrences run outward from the mode, where the terms only
+    decay.  ``np.multiply.accumulate`` multiplies strictly in sequence, so
+    each entry is the same product, in the same order, as the loop's; the
+    loop is kept below ``_CUMPROD_MIN_N`` trials, where it is faster.
+    """
+    q = 1.0 - p
+    if n < _CUMPROD_MIN_N:
+        out = np.empty(n + 1)
+        out[mode] = anchor
+        t = anchor
+        for s in range(mode, 0, -1):
+            t *= (s * q) / ((n - s + 1) * p)
+            out[s - 1] = t
+        t = anchor
+        for s in range(mode, n):
+            t *= ((n - s) * p) / ((s + 1) * q)
+            out[s + 1] = t
+        return out
+    # ratio pmf(s-1)/pmf(s) for s = mode .. 1, and pmf(s+1)/pmf(s) for s = mode .. n-1
+    down = np.arange(mode, -1, -1, dtype=float)
+    down[1:] = (down[:-1] * q) / ((n - down[:-1] + 1) * p)
+    down[0] = anchor
+    up = np.arange(mode - 1, n, dtype=float)
+    up[1:] = ((n - up[1:]) * p) / ((up[1:] + 1) * q)
+    up[0] = anchor
+    out = np.empty(n + 1)
+    out[mode::-1] = np.multiply.accumulate(down)
+    out[mode:] = np.multiply.accumulate(up)
+    return out
+
+
 def binomial_pmf(n: int, p: float) -> np.ndarray:
-    """Full pmf vector of Binomial(n, p), length n + 1."""
+    """Full pmf vector of Binomial(n, p), length n + 1.
+
+    The value at the mode is the anchor of :func:`binomial_cdf`; the other
+    entries follow from it by the pmf ratio recurrences, evaluated as a
+    sequential cumulative product (a Python loop for small n), so both
+    forms give the same bits.
+    """
     if n < 0:
         raise ValueError("n must be non-negative")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0, 1], got {p}")
-    out = np.zeros(n + 1)
-    if p == 0.0:
-        out[0] = 1.0
-        return out
-    if p == 1.0:
-        out[n] = 1.0
-        return out
+    if p == 0.0 or p == 1.0:
+        return _degenerate_pmf(n, p)
     mode = _binomial_mode(n, p)
-    anchor = _anchor_pmf(n, mode, p)
-    out[mode] = anchor
-    q = 1.0 - p
-    t = anchor
-    for s in range(mode, 0, -1):
-        t *= (s * q) / ((n - s + 1) * p)
-        out[s - 1] = t
-    t = anchor
-    for s in range(mode, n):
-        t *= ((n - s) * p) / ((s + 1) * q)
-        out[s + 1] = t
-    return out
+    anchor = _float_anchor(n, mode, p)
+    if anchor is None:
+        anchor = _exact_pmf_value(n, mode, p)
+    return _pmf_from_anchor(n, p, mode, anchor)
+
+
+def binomial_pmfs(p: float, start: int, stop: int) -> Iterator[np.ndarray]:
+    """``binomial_pmf(j, p)`` for j = start, ..., stop - 1, in that order.
+
+    Where the anchor needs exact arithmetic, its integer numerator
+    C(j,s) ip^s iq^(j-s) at the mode s is carried from j to j + 1 with one
+    small-integer multiply and an exact divide, instead of being rebuilt
+    from the powers, so the anchors are the same integers and every pmf
+    has the same bits as :func:`binomial_pmf`'s.
+    """
+    if start < 0:
+        raise ValueError("start must be non-negative")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must be in [0, 1], got {p}")
+    if p == 0.0 or p == 1.0:
+        for j in range(start, stop):
+            yield _degenerate_pmf(j, p)
+        return
+    ip, iq, e = _dyadic(p)
+    num = None  # exact anchor numerator of j - 1 at its mode s, when it was used
+    s = 0
+    for j in range(start, stop):
+        mode = _binomial_mode(j, p)
+        anchor = _float_anchor(j, mode, p)
+        if anchor is not None:
+            num = None
+        else:
+            if num is not None and mode == s:  # C(j,s) = C(j-1,s) j / (j-s)
+                num = num * (j * iq) // (j - s)
+            elif num is not None and mode == s + 1:  # C(j,s+1) = C(j-1,s) j / (s+1)
+                num = num * (j * ip) // mode
+            else:
+                num = _exact_numerator(j, mode, ip, iq)
+            anchor = _round_scaled(num, e * j)
+        s = mode
+        yield _pmf_from_anchor(j, p, mode, anchor)
 
 
 def beta_tail(alpha: int, beta: int, y: float) -> float:

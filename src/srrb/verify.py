@@ -278,14 +278,16 @@ def windows_suite(
             np.random.default_rng(seed + trace),
         )
         counts_oracle, sums_oracle = recount_window_stats(pulls, rewards, num_arms, window)
-        for t in range(1, horizon + 1):
-            policy.update(int(pulls[t - 1]), float(rewards[t - 1]), t)
-            checked += 1
-            if not (
-                np.array_equal(policy.window_counts, counts_oracle[t])
-                and np.array_equal(policy.window_sums, sums_oracle[t])
-            ):
-                mismatches += 1
+        # row t - 1 holds the policy's statistics after the update of round t
+        counts = np.empty((horizon, num_arms), dtype=counts_oracle.dtype)
+        sums = np.empty((horizon, num_arms))
+        for t, (arm, reward) in enumerate(zip(pulls.tolist(), rewards.tolist()), start=1):
+            policy.update(arm, reward, t)
+            counts[t - 1] = policy.window_counts
+            sums[t - 1] = policy.window_sums
+        checked += horizon
+        bad = (counts != counts_oracle[1:]).any(axis=1) | (sums != sums_oracle[1:]).any(axis=1)
+        mismatches += int(bad.sum())
     suite.checks.append(
         CheckResult(
             "window statistics equal recounts",

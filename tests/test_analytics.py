@@ -388,6 +388,41 @@ class TestBoundTerms:
         for _, _, term_iii in terms.per_arm.values():
             assert term_iii == pytest.approx(direct, rel=1e-12)
 
+    # The two-arm Bernoulli instance of perfbench/inputs/instance.json, and
+    # one whose low reference mean keeps the Beta term finite up to sigma.
+    BENCH_DOC = {
+        "horizon": 5000,
+        "arms": [
+            {"family": "linear_capped", "params": {"slope": 0.001, "cap": 0.8, "offset": 1.0},
+             "law": "bernoulli", "law_params": {}},
+            {"family": "linear_capped", "params": {"slope": 0.4, "cap": 0.4, "offset": 0.0},
+             "law": "bernoulli", "law_params": {}},
+        ],
+    }
+    LOW_DOC = {
+        "horizon": 2000,
+        "arms": [
+            {"family": "linear_capped", "params": {"slope": 0.001, "cap": 0.3, "offset": 0.0},
+             "law": "bernoulli", "law_params": {}},
+            {"family": "constant", "params": {"value": 0.1}, "law": "bernoulli", "law_params": {}},
+        ],
+    }
+
+    @pytest.mark.parametrize(
+        "doc, sigma, flavor, expected",
+        [
+            ("BENCH_DOC", 1200, "gauss", "0x1.c35cbe6ef8adfp+249"),
+            ("BENCH_DOC", 1200, "beta", "inf"),
+            ("BENCH_DOC", 1000, "gauss", "0x1.124de68c7ffb8p+170"),
+            ("LOW_DOC", 1200, "beta", "0x1.3b26cbfd98c44p+521"),
+            ("LOW_DOC", 1200, "gauss", "0x1.0719b03313b9fp+63"),
+        ],
+    )
+    def test_tv_term_bits_pinned(self, doc, sigma, flavor, expected):
+        # sigma past 1000 takes the reference pmfs through the exact anchor
+        inst = Instance.from_dict(getattr(self, doc))
+        terms = pull_bound_terms(inst, sigma=sigma, flavor=flavor)
+        assert [term_iii.hex() for _, _, term_iii in terms.per_arm.values()] == [expected]
 
     @pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf])
     def test_precision_scale_must_be_finite_and_positive(self, scale):

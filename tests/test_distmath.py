@@ -12,11 +12,13 @@ import scipy.stats as st
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+import srrb.distmath
 from srrb.distmath import (
     bernoulli_kl,
     beta_tail,
     binomial_cdf,
     binomial_pmf,
+    binomial_pmfs,
     expected_inverse_tail_binomial,
     expected_inverse_tail_pb,
     pb_pmf,
@@ -28,6 +30,37 @@ from srrb.distmath import (
 def enum_binomial_pmf(n, p):
     """Oracle: term-by-term binomial pmf from exact combinatorics."""
     return [math.comb(n, s) * p**s * (1 - p) ** (n - s) for s in range(n + 1)]
+
+
+def loop_binomial_pmf(n, p):
+    """Reference: the mode-anchored term loop, one Python product per entry,
+    with the float anchor up to n = 1000 and the exact big-integer anchor
+    beyond (or where the float powers could underflow)."""
+    out = np.zeros(n + 1)
+    if p == 0.0 or p == 1.0:
+        out[0 if p == 0.0 else n] = 1.0
+        return out
+    mode = min(max(int(math.floor((n + 1) * p)), 0), n)
+    if n <= 1000 and mode * math.log(p) + (n - mode) * math.log1p(-p) > -700.0:
+        anchor = math.comb(n, mode) * math.pow(p, mode) * math.pow(1.0 - p, n - mode)
+    else:
+        frac = Fraction(p)
+        ip, e = frac.numerator, -(frac.denominator.bit_length() - 1)
+        iq = (1 << -e) - ip
+        num = math.comb(n, mode) * pow(ip, mode) * pow(iq, n - mode)
+        shift = max(num.bit_length() - 64, 0)
+        anchor = math.ldexp(num >> shift, shift + e * n)
+    out[mode] = anchor
+    q = 1.0 - p
+    t = anchor
+    for s in range(mode, 0, -1):
+        t *= (s * q) / ((n - s + 1) * p)
+        out[s - 1] = t
+    t = anchor
+    for s in range(mode, n):
+        t *= ((n - s) * p) / ((s + 1) * q)
+        out[s + 1] = t
+    return out
 
 
 def enum_pb_pmf(probs):
@@ -137,6 +170,58 @@ class TestBinomialPmf:
     def test_sums_to_one(self):
         for n in (3, 64, 257):
             assert binomial_pmf(n, 0.37).sum() == pytest.approx(1.0, abs=1e-12)
+
+    # The loop/cumulative-product crossover, and the n = 1000/1001 switch to
+    # the exact anchor, each crossed in both directions.
+    CROSSOVER = srrb.distmath._CUMPROD_MIN_N
+    EDGE_NS = (CROSSOVER - 2, CROSSOVER - 1, CROSSOVER, CROSSOVER + 1, 999, 1000, 1001, 1002)
+    EDGE_PS = (0.0, 1.0, 1e-9, 1.0 - 1e-9, 0.5)
+
+    def test_same_bits_as_term_loop_for_random_p(self):
+        rng = np.random.default_rng(20240601)
+        for n in range(0, 401):
+            p = float(rng.random())
+            assert binomial_pmf(n, p).tobytes() == loop_binomial_pmf(n, p).tobytes(), (n, p)
+
+    @pytest.mark.parametrize("p", EDGE_PS + (0.123456789, 0.9137))
+    def test_same_bits_as_term_loop_across_switches(self, p):
+        for n in self.EDGE_NS:
+            assert binomial_pmf(n, p).tobytes() == loop_binomial_pmf(n, p).tobytes(), n
+
+    def test_switch_cases_include_modes_zero_and_n(self):
+        for n in self.EDGE_NS:
+            assert int(np.argmax(loop_binomial_pmf(n, 1e-9))) == 0
+            assert int(np.argmax(loop_binomial_pmf(n, 1.0 - 1e-9))) == n
+
+    @pytest.mark.parametrize("crossover", [0, 10**9])
+    def test_both_recurrence_forms_give_the_same_bits(self, monkeypatch, crossover):
+        # every n through the cumulative product, then every n through the loop
+        monkeypatch.setattr(srrb.distmath, "_CUMPROD_MIN_N", crossover)
+        for n in range(0, 2 * self.CROSSOVER + 2):
+            for p in (0.3, 0.97, 1e-9, 1.0 - 1e-9):
+                assert binomial_pmf(n, p).tobytes() == loop_binomial_pmf(n, p).tobytes(), (n, p)
+
+
+class TestBinomialPmfs:
+    @pytest.mark.parametrize("p", [0.123456789, 0.9137, 0.03, 0.5])
+    def test_carried_anchor_gives_binomial_pmf_bits(self, p):
+        pmfs = list(binomial_pmfs(p, 0, 1301))
+        assert len(pmfs) == 1301
+        for j, pmf in enumerate(pmfs):
+            assert pmf.tobytes() == binomial_pmf(j, p).tobytes(), j
+
+    @pytest.mark.parametrize("p", [0.0, 1.0, 0.9137])
+    def test_starts_mid_range(self, p):
+        pmfs = list(binomial_pmfs(p, 1100, 1110))
+        assert [pmf.size for pmf in pmfs] == list(range(1101, 1111))
+        for j, pmf in zip(range(1100, 1110), pmfs):
+            assert pmf.tobytes() == binomial_pmf(j, p).tobytes(), j
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError):
+            next(binomial_pmfs(1.5, 0, 3))
+        with pytest.raises(ValueError):
+            next(binomial_pmfs(0.5, -1, 3))
 
 
 class TestBetaTail:
