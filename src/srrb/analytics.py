@@ -8,12 +8,13 @@ the horizon is equivalent to the anytime notion.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distmath import bernoulli_kl, binomial_pmf, binomial_pmfs, tv_distance
+from .distmath import _pb_prefix_pmfs, bernoulli_kl, binomial_pmf, binomial_pmfs, tv_distance
 from .instance import Instance
 
 __all__ = [
@@ -120,19 +121,19 @@ def windowed_sigma_complexity(instance: Instance, tau: int) -> WindowedSigmaRepo
 
 def growth_index(instance: Instance, m: int, q: float) -> float:
     """Cumulative growth index: sum over l < m of the largest per-step
-    increment across arms, raised to the power q.
+    increment across arms, raised to the power q, for 2 <= m <= T.
 
+    The increments are read from the instance's table of mu_i(1..T).
     Convention 0**q = 0 for q > 0 (the limit from above) and 0**0 = 1, so
     stationary instances score 0 for every q > 0.
     """
-    if m < 2:
-        raise ValueError(f"m must be >= 2, got {m}")
+    if not 2 <= m <= instance.horizon:
+        raise ValueError(f"m must be in [2, {instance.horizon}], got {m}")
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must be in [0, 1], got {q}")
     increments = np.zeros(m - 1)
     for i in range(instance.num_arms):
-        mus = instance.arms[i].curve.mu_array(m)
-        np.maximum(increments, np.diff(mus), out=increments)
+        np.maximum(increments, np.diff(instance.expected_rewards(i)[:m]), out=increments)
     increments = np.maximum(increments, 0.0)  # guard tiny negative rounding
     return float(np.power(increments, q).sum())
 
@@ -261,27 +262,19 @@ def _tv_term(
     """Sum over j = forced .. sigma-1 of TV dissimilarity over the measure
     change denominator.  j = 0 contributes nothing: both laws degenerate."""
     star = instance.optimal_arm
-    mus_star = instance.expected_rewards(star)
     total = 0.0
     log_one_minus = math.log1p(-y_ref) if y_ref < 1.0 else -math.inf
-    pb = np.ones(1)
-    references = binomial_pmfs(y_ref, max(forced, 1), sigma)  # binomial_pmf(j, y_ref) per j
-    for j in range(1, sigma):
-        if flavor == "gauss" and not tv_trivial:
-            # success-count law of the optimal arm after j pulls, built
-            # incrementally (one convolution step per j)
-            pi = mus_star[j - 1]
-            head = pb[:j].copy()
-            pb = np.append(pb * (1.0 - pi), 0.0)
-            pb[1:] += head * pi
-        if j < forced:
-            continue
-        if tv_trivial:
-            tv = 1.0
-        elif flavor == "beta":
-            tv = tv_distance(binomial_pmf(j, instance.avg_expected_reward(star, j)), next(references))
-        else:
-            tv = tv_distance(pb, next(references))
+    start = max(forced, 1)
+    # the law compared with binomial_pmf(j, y_ref) for j = start .. sigma-1
+    if flavor == "beta":
+        laws = (binomial_pmf(j, instance.avg_expected_reward(star, j)) for j in range(start, sigma))
+    else:
+        # success-count law of the optimal arm after j pulls
+        walk = _pb_prefix_pmfs(instance.expected_rewards(star)[: sigma - 1])
+        laws = itertools.islice(walk, start, None)
+    references = binomial_pmfs(y_ref, start, sigma)
+    for j in range(start, sigma):
+        tv = 1.0 if tv_trivial else tv_distance(next(laws), next(references))
         if tv == 0.0:
             continue
         if flavor == "beta":

@@ -202,13 +202,13 @@ def cmd_sweep(args) -> int:
 
     files, results = {}, {}
     for label, cfg in policies:
-        result = sweep(instance, cfg, axis=axis, grid=grid, **batch)
+        points = sweep(instance, cfg, axis=axis, grid=grid, **batch)
         files[f"{label}_sweep.csv"] = ["axis_value,resolved,mean_final_regret,std_final_regret"] + [
             f"{_format_float(p.axis_value)},{p.resolved},"
             f"{_format_float(p.mean_final_regret)},{_format_float(p.std_final_regret)}"
-            for p in result.points
+            for p in points
         ]
-        results[label] = {"config": cfg.to_dict(), "points": [asdict(p) for p in result.points]}
+        results[label] = {"config": cfg.to_dict(), "points": [asdict(p) for p in points]}
     document = {"version": __version__, **header, "axis": axis, "grid": grid, "results": results}
     _write_outputs(Path(args.out), files, "sweep.json", document)
     return EXIT_OK

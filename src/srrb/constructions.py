@@ -1,9 +1,10 @@
 """Named instance families: the minimax two-instance construction, the two
 optimistic-baseline comparison pairs, and a random rising suite.
 
-The minimax pair is built from exact rational ramp curves so that the gap
-constants that certify the regret lower bound K*(sigma_bar - 2)/64 can be
-checked in exact arithmetic.
+The minimax pair is built from ramp curves with rational slope and cap,
+so the gap constants that certify the regret lower bound
+K*(sigma_bar - 2)/64 are checked on the closed-form ramp means in exact
+rational arithmetic.
 """
 
 from __future__ import annotations
@@ -34,12 +35,14 @@ __all__ = [
 ]
 
 
-def _exact_avg(curve, t: int) -> Fraction:
-    """Average of mu(1..t) in exact rational arithmetic (exact curves only)."""
-    total = Fraction(0)
-    for n in range(1, t + 1):
-        total += Fraction(curve.mu(n))
-    return total / t
+def _ramp_mean(slope: Fraction, cap: Fraction, t: int) -> Fraction:
+    """Exact mean of min(slope * (n - 1), cap) over n = 1..t, slope > 0.
+
+    The first m = min(t, floor(cap / slope) + 1) terms are below or at the
+    cap and sum to slope * m (m - 1) / 2; the other t - m sit at the cap.
+    """
+    m = min(t, math.floor(cap / slope) + 1)
+    return (slope * m * (m - 1) / 2 + cap * (t - m)) / t
 
 
 @dataclass(frozen=True)
@@ -96,10 +99,9 @@ def lower_bound_instances(num_arms: int, sigma_bar: int, horizon: int) -> LowerB
                 f"construction escaped its complexity budget: {overall} > {sigma_bar}"
             )
 
-    top = _exact_avg(base_arms[0].curve, horizon)
-    low = _exact_avg(base_arms[1].curve, horizon)
-    base_gap = top - low
-    boosted_gap = _exact_avg(boosted_arms[boosted_arm].curve, horizon) - top
+    top = _ramp_mean(slope, Fraction(1, 2), horizon)
+    base_gap = top - _ramp_mean(slope, Fraction(1, 4), horizon)
+    boosted_gap = _ramp_mean(slope, Fraction(1), horizon) - top
     if base_gap < Fraction(5, 32) or boosted_gap < Fraction(1, 8):
         raise AssertionError("gap constants of the construction failed their exact check")
 
@@ -148,16 +150,15 @@ def persistent_gap_pair(horizon: int, exponent: float = 0.5) -> Instance:
     return Instance([Arm(top, BernoulliLaw()), Arm(low, BernoulliLaw())], horizon)
 
 
-def random_rising_instance(
-    horizon: int,
-    num_arms: int = 15,
-    seed: int = 0,
-    max_poly_scale: float = 5.0,
-) -> Instance:
+# the upper end of the polynomial family's scale b in random_rising_instance
+_MAX_POLY_SCALE = 5.0
+
+
+def random_rising_instance(horizon: int, num_arms: int = 15, seed: int = 0) -> Instance:
     """Random Bernoulli instance with arms drawn from the exponential
     family c(1 - exp(-a n)) and the polynomial family
     c(1 - b (n + b^(1/rho))^(-rho)), a, c, rho uniform on (0, 1] and b
-    uniform on [0, max_poly_scale].
+    uniform on [0, 5].
 
     Redraws on the (measure-zero) event of a tied optimum.
     """
@@ -172,7 +173,7 @@ def random_rising_instance(
                 curve = ExponentialCurve(c=c, a=1.0 - rng.random())
             else:
                 curve = PolynomialCurve(
-                    c=c, b=max_poly_scale * rng.random(), rho=1.0 - rng.random()
+                    c=c, b=_MAX_POLY_SCALE * rng.random(), rho=1.0 - rng.random()
                 )
             arms.append(Arm(curve, BernoulliLaw()))
         try:

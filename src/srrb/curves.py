@@ -5,10 +5,9 @@ must be non-decreasing in n.  Closed-form families guarantee this through
 parameter constraints; tabulated curves are checked entry by entry and
 extend past their table as a constant.
 
-Every family evaluates through ``mu_array``.  The piecewise-linear family
-also has an exact scalar ``mu``: built from ``fractions.Fraction``
-parameters it evaluates without rounding, which the minimax construction
-relies on for exact gap arithmetic.
+Every family stores its parameters as floats and evaluates only through
+``mu_array``, which :class:`~srrb.instance.Instance` calls once per arm to
+build its table of mu(1..T); everything downstream reads that table.
 """
 
 from __future__ import annotations
@@ -16,8 +15,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, fields
-from fractions import Fraction
-from typing import Union
 
 import numpy as np
 
@@ -35,9 +32,6 @@ __all__ = [
     "law_from_dict",
 ]
 
-Real = Union[int, float, Fraction]
-
-
 def _as_float(value: numbers.Real) -> float:
     """``float(value)``, with an integer or Fraction too large for a float
     as an infinity of its sign."""
@@ -47,15 +41,14 @@ def _as_float(value: numbers.Real) -> float:
         return math.inf if value > 0 else -math.inf
 
 
-def _real(name: str, value, exact: bool = False) -> Real:
-    """A finite real number (no ``bool``) as a float; with ``exact``, ints
-    and Fractions are kept as given."""
+def _real(name: str, value) -> float:
+    """A finite real number (no ``bool``) as a float."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     as_float = _as_float(value)
     if not math.isfinite(as_float):
         raise ValueError(f"{name} must be finite, got {value!r}")
-    return value if exact and isinstance(value, (int, Fraction)) else as_float
+    return as_float
 
 
 def _check_unit_interval(name: str, value: float, open_left: bool = False) -> None:
@@ -74,11 +67,10 @@ class RewardCurve:
     """
 
     family: str = ""
-    _exact = False  # keep int and Fraction parameters for exact evaluation
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            object.__setattr__(self, f.name, _real(f.name, getattr(self, f.name), self._exact))
+            object.__setattr__(self, f.name, _real(f.name, getattr(self, f.name)))
         self._check()
 
     def _check(self) -> None:
@@ -146,33 +138,22 @@ class PolynomialCurve(RewardCurve):
 
 @dataclass(frozen=True)
 class LinearCappedCurve(RewardCurve):
-    """mu(n) = min(slope * (n - offset), cap).
+    """mu(n) = min(slope * (n - offset), cap)."""
 
-    Parameters may be Fractions, in which case ``mu`` is exact.
-    """
-
-    slope: Real
-    cap: Real
-    offset: Real = 1
+    slope: float
+    cap: float
+    offset: float = 1.0
     family = "linear_capped"
-    _exact = True
 
     def _check(self) -> None:
-        if self.slope < 0:
+        if self.slope < 0.0:
             raise ValueError(f"slope must be >= 0, got {self.slope}")
-        if self.slope * (1 - self.offset) < 0:
+        if self.slope * (1.0 - self.offset) < 0.0:
             raise ValueError("curve would be negative at the first pull")
-
-    def mu(self, n: int) -> Real:
-        """Expected reward at the n-th pull, n >= 1, in the parameters'
-        own arithmetic."""
-        if n < 1:
-            raise ValueError(f"pull count must be >= 1, got {n}")
-        return min(self.slope * (n - self.offset), self.cap)
 
     def mu_array(self, limit: int) -> np.ndarray:
         n = np.arange(1, limit + 1, dtype=float)
-        return np.minimum(float(self.slope) * (n - float(self.offset)), float(self.cap))
+        return np.minimum(self.slope * (n - self.offset), self.cap)
 
 
 @dataclass(frozen=True)

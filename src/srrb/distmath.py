@@ -4,19 +4,21 @@ Everything here is a pure function of its inputs.  The binomial CDF and
 pmf are computed with a term recurrence anchored at the mode (no
 incomplete-beta machinery); for the pmf the recurrence runs as a
 sequential numpy cumulative product, and as a Python loop for small n,
-with the same bits either way.  ``binomial_pmfs`` walks the trial count
-upward and carries the exact anchor from one count to the next, which is
-how the total-variation term of the pull bounds gets its reference pmfs.
-The Poisson-Binomial pmf uses the usual O(n^2) convolution and the Beta
-tail the discrete Beta-Binomial identity, so all routines stay in
-elementary arithmetic.
+with the same bits either way.  One function, ``_anchors``, chooses
+between a float and an exact integer anchor; ``binomial_pmfs`` walks the
+trial count upward and carries the exact anchor from one count to the
+next, which is how the total-variation term of the pull bounds gets its
+reference pmfs.  One prefix walk, ``_pb_prefix_pmfs``, runs the O(n^2)
+Poisson-Binomial convolution, and the Beta tail uses the discrete
+Beta-Binomial identity, so all routines stay in elementary arithmetic.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -84,30 +86,40 @@ def _round_scaled(num: int, exp2: int) -> float:
     return math.ldexp(num >> shift, shift + exp2)
 
 
-def _exact_numerator(n: int, s: int, ip: int, iq: int) -> int:
-    return math.comb(n, s) * pow(ip, s) * pow(iq, n - s)
+def _anchors(
+    p: float, ns: Iterable[int], k: int | None = None
+) -> Iterator[tuple[int, int, float]]:
+    """(n, s, C(n,s) p^s (1-p)^(n-s)) for each n of ``ns``, 0 < p < 1, at
+    the mode s of Binomial(n, p), or at k where k is below the mode.
 
-
-def _exact_pmf_value(n: int, s: int, p: float) -> float:
-    """C(n,s) p^s (1-p)^(n-s) evaluated in exact integer arithmetic.
-
-    p is decomposed as ip * 2^e (exact for any float), 1 - p likewise, so
-    the product is a big integer times a power of two; the final rounding
-    to float is the only inexact step.  Exactness of this anchor keeps the
-    relative error of the whole CDF at recurrence-rounding level even for
-    n = 1e5.
+    Float arithmetic is used where it is safe: C(n,s) representable and no
+    underflow in the powers.  Elsewhere p = ip * 2^e and 1 - p = iq * 2^e
+    exactly, so the value is the big integer C(n,s) ip^s iq^(n-s) times a
+    power of two, and its final rounding to float is the only inexact
+    step; that keeps the relative error of a whole CDF at recurrence-
+    rounding level even for n = 1e5.  From a point (n - 1, s) to (n, s) or
+    (n, s + 1) the integer is carried with one small-integer multiply and
+    an exact divide instead of being rebuilt from the powers: the same
+    integer either way.
     """
-    ip, iq, e = _dyadic(p)
-    return _round_scaled(_exact_numerator(n, s, ip, iq), e * n)
-
-
-def _float_anchor(n: int, s: int, p: float) -> float | None:
-    """C(n,s) p^s (1-p)^(n-s) in float arithmetic, or None where that is
-    unsafe (C(n,s) not representable, or the powers could underflow) and
-    the anchor needs the exact integer form."""
-    if n <= 1000 and s * math.log(p) + (n - s) * math.log1p(-p) > -700.0:
-        return math.comb(n, s) * math.pow(p, s) * math.pow(1.0 - p, n - s)
-    return None
+    dyadic = num = last = None  # last is the point (n, s) whose exact integer num is
+    for n in ns:
+        s = _binomial_mode(n, p) if k is None else min(_binomial_mode(n, p), k)
+        if n <= 1000 and s * math.log(p) + (n - s) * math.log1p(-p) > -700.0:
+            last = None
+            yield n, s, math.comb(n, s) * math.pow(p, s) * math.pow(1.0 - p, n - s)
+            continue
+        if dyadic is None:
+            dyadic = _dyadic(p)
+        ip, iq, e = dyadic
+        if last == (n - 1, s):  # C(n,s) = C(n-1,s) n / (n-s)
+            num = num * (n * iq) // (n - s)
+        elif last == (n - 1, s - 1):  # C(n,s) = C(n-1,s-1) n / s
+            num = num * (n * ip) // s
+        else:
+            num = math.comb(n, s) * pow(ip, s) * pow(iq, n - s)
+        last = (n, s)
+        yield n, s, _round_scaled(num, e * n)
 
 
 def binomial_cdf(n: int, p: float, k: int) -> float:
@@ -132,10 +144,7 @@ def binomial_cdf(n: int, p: float, k: int) -> float:
         return 0.0  # k < n here
 
     q = 1.0 - p
-    anchor_s = min(_binomial_mode(n, p), k)
-    anchor = _float_anchor(n, anchor_s, p)
-    if anchor is None:
-        anchor = _exact_pmf_value(n, anchor_s, p)
+    _, anchor_s, anchor = next(_anchors(p, (n,), k))
 
     terms = [anchor]
     # downward from the anchor: ratio pmf(s-1)/pmf(s) = s q / ((n-s+1) p)
@@ -200,32 +209,21 @@ def _pmf_from_anchor(n: int, p: float, mode: int, anchor: float) -> np.ndarray:
 def binomial_pmf(n: int, p: float) -> np.ndarray:
     """Full pmf vector of Binomial(n, p), length n + 1.
 
-    The value at the mode is the anchor of :func:`binomial_cdf`; the other
-    entries follow from it by the pmf ratio recurrences, evaluated as a
-    sequential cumulative product (a Python loop for small n), so both
-    forms give the same bits.
+    The one-step view of :func:`binomial_pmfs`.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
-    if p == 0.0 or p == 1.0:
-        return _degenerate_pmf(n, p)
-    mode = _binomial_mode(n, p)
-    anchor = _float_anchor(n, mode, p)
-    if anchor is None:
-        anchor = _exact_pmf_value(n, mode, p)
-    return _pmf_from_anchor(n, p, mode, anchor)
+    return next(binomial_pmfs(p, n, n + 1))
 
 
 def binomial_pmfs(p: float, start: int, stop: int) -> Iterator[np.ndarray]:
-    """``binomial_pmf(j, p)`` for j = start, ..., stop - 1, in that order.
+    """Full pmf vectors of Binomial(j, p) for j = start, ..., stop - 1, in
+    that order.
 
-    Where the anchor needs exact arithmetic, its integer numerator
-    C(j,s) ip^s iq^(j-s) at the mode s is carried from j to j + 1 with one
-    small-integer multiply and an exact divide, instead of being rebuilt
-    from the powers, so the anchors are the same integers and every pmf
-    has the same bits as :func:`binomial_pmf`'s.
+    Each pmf's value at the mode is its anchor (as in
+    :func:`binomial_cdf`); the other entries follow from it by the pmf
+    ratio recurrences.  Successive modes differ by at most one, so an
+    exact anchor is carried from j to j + 1.
     """
     if start < 0:
         raise ValueError("start must be non-negative")
@@ -235,23 +233,7 @@ def binomial_pmfs(p: float, start: int, stop: int) -> Iterator[np.ndarray]:
         for j in range(start, stop):
             yield _degenerate_pmf(j, p)
         return
-    ip, iq, e = _dyadic(p)
-    num = None  # exact anchor numerator of j - 1 at its mode s, when it was used
-    s = 0
-    for j in range(start, stop):
-        mode = _binomial_mode(j, p)
-        anchor = _float_anchor(j, mode, p)
-        if anchor is not None:
-            num = None
-        else:
-            if num is not None and mode == s:  # C(j,s) = C(j-1,s) j / (j-s)
-                num = num * (j * iq) // (j - s)
-            elif num is not None and mode == s + 1:  # C(j,s+1) = C(j-1,s) j / (s+1)
-                num = num * (j * ip) // mode
-            else:
-                num = _exact_numerator(j, mode, ip, iq)
-            anchor = _round_scaled(num, e * j)
-        s = mode
+    for j, mode, anchor in _anchors(p, range(start, stop)):
         yield _pmf_from_anchor(j, p, mode, anchor)
 
 
@@ -268,8 +250,25 @@ def beta_tail(alpha: int, beta: int, y: float) -> float:
     return binomial_cdf(alpha + beta - 1, y, alpha - 1)
 
 
+def _pb_prefix_pmfs(probs: np.ndarray) -> Iterator[np.ndarray]:
+    """Poisson-Binomial pmfs of the success count after the first 0, 1,
+    ..., n of the success probabilities ``probs``: one convolution step
+    per probability, O(n^2) in all.
+
+    Each pmf is a view of one buffer that the next step overwrites.
+    """
+    pmf = np.zeros(probs.size + 1)
+    pmf[0] = 1.0
+    yield pmf[:1]
+    for m, pi in enumerate(probs):
+        head = pmf[: m + 1].copy()
+        pmf[: m + 1] *= 1.0 - pi
+        pmf[1 : m + 2] += head * pi
+        yield pmf[: m + 2]
+
+
 def pb_pmf(probs: Sequence[float]) -> np.ndarray:
-    """Poisson-Binomial pmf via dynamic-programming convolution, O(n^2).
+    """Poisson-Binomial pmf: the last prefix of :func:`_pb_prefix_pmfs`.
 
     The result has length ``len(probs) + 1`` and is renormalized only if
     floating-point drift exceeds 1e-13.
@@ -280,12 +279,7 @@ def pb_pmf(probs: Sequence[float]) -> np.ndarray:
         raise ValueError(f"at most {PB_MAX_LEN} success probabilities supported, got {n}")
     if n and (p.min() < 0.0 or p.max() > 1.0):
         raise ValueError("success probabilities must lie in [0, 1]")
-    pmf = np.zeros(n + 1)
-    pmf[0] = 1.0
-    for m, pi in enumerate(p):
-        head = pmf[: m + 1].copy()
-        pmf[: m + 1] *= 1.0 - pi
-        pmf[1 : m + 2] += head * pi
+    *_, pmf = _pb_prefix_pmfs(p)
     total = pmf.sum()
     if abs(total - 1.0) > 1e-13:
         pmf /= total
@@ -336,9 +330,16 @@ def roos_tv_bound(probs: Sequence[float], mu: float) -> float:
     return c2 * math.sqrt(eta) * (1.0 + math.sqrt(2.0 * eta)) * math.exp(2.0 * eta)
 
 
+@functools.lru_cache(maxsize=256)
+def _cdf_column(trials: int, p: float) -> np.ndarray:
+    """Read-only vector of binomial_cdf(trials, p, s) for s = 0 .. trials - 1."""
+    cdf = np.array([binomial_cdf(trials, p, s) for s in range(trials)])
+    cdf.setflags(write=False)
+    return cdf
+
+
 def _expected_inverse_tail(pmf: np.ndarray, j: int, threshold: float) -> float:
-    cdf = np.array([binomial_cdf(j + 1, threshold, s) for s in range(j + 1)])
-    return float(math.fsum(pmf[s] / cdf[s] for s in range(j + 1)))
+    return math.fsum(pmf / _cdf_column(j + 1, threshold))
 
 
 def expected_inverse_tail_pb(probs: Sequence[float], threshold: float) -> float:

@@ -9,7 +9,7 @@ batch is bit-for-bit reproducible at any parallelism level.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,7 +22,6 @@ __all__ = [
     "RunRecord",
     "Aggregate",
     "SweepPoint",
-    "SweepResult",
     "evaluation_grid",
     "child_seed",
     "run_single",
@@ -245,12 +244,6 @@ class SweepPoint:
     std_final_regret: float
 
 
-@dataclass
-class SweepResult:
-    axis: str
-    points: list[SweepPoint] = field(default_factory=list)
-
-
 def sweep_point(config: PolicyConfig, axis: str, value, horizon: int) -> PolicyConfig:
     """The configuration of one sweep grid point.
 
@@ -277,8 +270,9 @@ def sweep(
     master_seed: int = 0,
     parallelism: int = 1,
     stride: int | None = None,
-) -> SweepResult:
-    """Sensitivity sweep along one configuration axis.
+) -> list[SweepPoint]:
+    """Sensitivity sweep along one configuration axis: one point per grid
+    value, in grid order.
 
     Every run spans the instance's horizon.  Every grid point's
     configuration is built by :func:`sweep_point` before the first batch
@@ -291,15 +285,12 @@ def sweep(
     configs = [sweep_point(base_config, axis, value, instance.horizon) for value in grid]
     batches = [(config, runs, child_seed(master_seed, j)) for j, config in enumerate(configs)]
     aggregates = run_batches(instance, batches, parallelism, stride)
-    return SweepResult(
-        axis=axis,
-        points=[
-            SweepPoint(
-                axis_value=float(value),
-                resolved=getattr(config, _AXIS_FIELDS[axis]),
-                mean_final_regret=float(agg.mean_regret[-1]),
-                std_final_regret=float(agg.std_regret[-1]),
-            )
-            for value, config, agg in zip(grid, configs, aggregates)
-        ],
-    )
+    return [
+        SweepPoint(
+            axis_value=float(value),
+            resolved=getattr(config, _AXIS_FIELDS[axis]),
+            mean_final_regret=float(agg.mean_regret[-1]),
+            std_final_regret=float(agg.std_regret[-1]),
+        )
+        for value, config, agg in zip(grid, configs, aggregates)
+    ]

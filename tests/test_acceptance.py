@@ -201,7 +201,7 @@ def test_criterion_9_forced_exploration_sensitivity():
     assert 1900 <= complexity <= 2100, f"design target missed: sigma_mu = {complexity}"
 
     grid = [0, 250, 500, 1000, 2000, 4000]
-    result = sweep(
+    points = sweep(
         inst,
         PolicyConfig(kind="beta_swts"),
         axis="forced_pulls",
@@ -211,8 +211,8 @@ def test_criterion_9_forced_exploration_sensitivity():
         parallelism=8,
         stride=horizon,
     )
-    means = [p.mean_final_regret for p in result.points]
-    stds = [p.std_final_regret for p in result.points]
+    means = [p.mean_final_regret for p in points]
+    stds = [p.std_final_regret for p in points]
     knee = int(np.argmin(means))
     # flatness below the knee: run-to-run noise plus the deterministic
     # forced-exploration overhead of a deceptive ramp, which stays below

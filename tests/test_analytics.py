@@ -170,6 +170,13 @@ class TestGrowthIndex:
     def test_stationary_is_zero(self):
         assert growth_index(stationary([0.6, 0.5]), 50, 0.5) == 0.0
 
+    def test_m_must_lie_in_two_to_the_horizon(self):
+        inst = stationary([0.6, 0.5])
+        for m in (1, inst.horizon + 1):
+            with pytest.raises(ValueError, match="m must be in"):
+                growth_index(inst, m, 0.5)
+        assert growth_index(inst, inst.horizon, 0.0) == inst.horizon - 1
+
     def test_zero_exponent_counts_steps(self):
         # 0**0 = 1 by convention, so a stationary instance counts m - 1
         assert growth_index(stationary([0.6, 0.5]), 50, 0.0) == 49

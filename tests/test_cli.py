@@ -4,6 +4,7 @@ The CLI is a thin shell; these tests only assert codes and emitted file
 shapes, with the numerics covered by the library tests.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -572,3 +573,26 @@ class TestLowerBound:
             ["lower-bound", "--arms", "3", "--sigma-bar", "60", "--horizon", "100", "--out", str(tmp_path)]
         )
         assert code == 2
+
+    # sha256 of every output file: the instance documents and the summary
+    # with its exact gap constants stay the same byte for byte
+    DIGESTS = {
+        (15, 10, 100): {
+            "instance_base.json": "c0e4f25d61a3dbda3f684143630dcd9a5ad3a9ec623ad788e386107c77f492dc",
+            "instance_boosted.json": "563bc9de44e6fe5ed66a2fa72f2c285cd2430b933e4b1bf8c9939a53cb2e9e0b",
+            "lower_bound.json": "4ac97fe44c5c4dfe0ce2a720a9a91997e1ab9ee7e09ebe603a28faad72263d15",
+        },
+        (3, 2, 50): {
+            "instance_base.json": "421ecbe00e994a38d009b8534e0f4af868dd0f9c521c4f95b7d0e44a62768f54",
+            "instance_boosted.json": "928a0c467b571578ab694292c5c9fec53d9f3be3e550eca451ade5fa518956ff",
+            "lower_bound.json": "3999ea8d05b1d0991e88f2fd381601389d8f66ad54628b4a2651e00b48a38bfa",
+        },
+    }
+
+    @pytest.mark.parametrize("arms, sigma_bar, horizon", sorted(DIGESTS))
+    def test_output_bytes_pinned(self, tmp_path, arms, sigma_bar, horizon):
+        out = tmp_path / "lb"
+        argv = ["--arms", str(arms), "--sigma-bar", str(sigma_bar), "--horizon", str(horizon)]
+        assert main(["lower-bound", *argv, "--out", str(out)]) == 0
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+        assert digests == self.DIGESTS[arms, sigma_bar, horizon]

@@ -7,6 +7,7 @@ import pytest
 
 from srrb.analytics import sigma_complexity
 from srrb.constructions import (
+    _ramp_mean,
     lower_bound_instances,
     persistent_gap_pair,
     random_rising_instance,
@@ -38,6 +39,18 @@ class TestLowerBoundPair:
         assert isinstance(pair.base_gap, Fraction)
         assert pair.base_gap >= Fraction(5, 32)
         assert pair.boosted_gap >= Fraction(1, 8)
+
+    def test_ramp_mean_matches_the_exact_sum(self):
+        # the construction's slopes and caps, against a running Fraction sum
+        for sigma_bar in range(2, 61):
+            slope = Fraction(1, sigma_bar - 2) if sigma_bar > 2 else Fraction(1)
+            ts = {1, 2, 2 * sigma_bar + 1, 8 * sigma_bar, 1000}
+            for cap in (Fraction(1, 4), Fraction(1, 2), Fraction(1)):
+                total = Fraction(0)
+                for n in range(1, max(ts) + 1):
+                    total += min(slope * (n - 1), cap)
+                    if n in ts:
+                        assert _ramp_mean(slope, cap, n) == total / n, (sigma_bar, cap, n)
 
     def test_closed_form_averages_for_even_ramp(self):
         # with an even internal ramp the averaged rewards have closed forms

@@ -231,15 +231,15 @@ class TestSweep:
     def test_full_window_exponent_reproduces_plain_variant(self):
         inst = stationary([0.6, 0.5], horizon=400)
         cfg = PolicyConfig(kind="beta_swts")
-        result = sweep(inst, cfg, axis="window_exponent", grid=[1.0], runs=3, master_seed=21)
-        assert result.points[0].resolved == 400
+        points = sweep(inst, cfg, axis="window_exponent", grid=[1.0], runs=3, master_seed=21)
+        assert points[0].resolved == 400
         direct = run_batch(
             inst,
             PolicyConfig(kind="beta_swts", window=400),
             runs=3,
             master_seed=child_seed(21, 0),
         )
-        assert result.points[0].mean_final_regret == direct.mean_regret[-1]
+        assert points[0].mean_final_regret == direct.mean_regret[-1]
 
     def test_runs_at_the_instance_horizon(self):
         # sweep has no horizon of its own: a shorter run is a shorter instance
@@ -247,17 +247,17 @@ class TestSweep:
         short = Instance(inst.arms, 150)
         with pytest.raises(TypeError, match="horizon"):
             sweep(inst, PolicyConfig(kind="beta_swts"), "forced_pulls", [0], horizon=150)
-        result = sweep(short, PolicyConfig(kind="beta_swts"), "window_exponent", [1.0], runs=2)
-        assert result.points[0].resolved == 150
+        points = sweep(short, PolicyConfig(kind="beta_swts"), "window_exponent", [1.0], runs=2)
+        assert points[0].resolved == 150
         direct = run_batch(
             inst, PolicyConfig(kind="beta_swts", window=150), horizon=150, runs=2,
             master_seed=child_seed(0, 0),
         )
-        assert result.points[0].mean_final_regret == direct.mean_regret[-1]
+        assert points[0].mean_final_regret == direct.mean_regret[-1]
 
     def test_forced_pull_axis_resolves_values(self):
         inst = stationary([0.6, 0.5], horizon=300)
-        result = sweep(
+        points = sweep(
             inst,
             PolicyConfig(kind="beta_swts"),
             axis="forced_pulls",
@@ -265,7 +265,7 @@ class TestSweep:
             runs=2,
             master_seed=3,
         )
-        assert [p.resolved for p in result.points] == [0, 5, 20]
+        assert [p.resolved for p in points] == [0, 5, 20]
 
     @pytest.mark.parametrize(
         "axis, value",
@@ -289,7 +289,7 @@ class TestSweep:
 
     def test_window_exponent_clamps(self):
         inst = stationary([0.6, 0.5], horizon=100)
-        result = sweep(
+        points = sweep(
             inst,
             PolicyConfig(kind="beta_swts"),
             axis="window_exponent",
@@ -297,8 +297,8 @@ class TestSweep:
             runs=1,
             master_seed=0,
         )
-        assert result.points[0].resolved == 1
-        assert result.points[1].resolved == 100
+        assert points[0].resolved == 1
+        assert points[1].resolved == 100
 
     def test_unknown_axis(self):
         with pytest.raises(ValueError):

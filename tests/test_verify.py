@@ -1,7 +1,9 @@
 """The verify suites must still fail when the code they check is broken."""
 
+import numpy as np
+
 from srrb.policies import Policy
-from srrb.verify import windows_suite
+from srrb.verify import _lemma_chain_check, windows_suite
 
 
 def _update_with_shifted_eviction(self, arm, reward, t):
@@ -39,3 +41,12 @@ class TestWindowsSuite:
         # 203 of the 24000 rounds: the count a round-by-round comparison gives
         assert check.worst == 203
         assert check.detail == "24000 round-level comparisons"
+
+
+class TestLemmaChain:
+    def test_worst_margin_pinned(self):
+        # the worst relative margin over exact enumerations, pinned to its
+        # bits: it reads the pmfs and the binomial CDF columns
+        check = _lemma_chain_check(np.random.default_rng(20240601), vectors_per_j=10)
+        assert check.passed
+        assert check.worst.hex() == "0x1.4c4b92b073d40p-53"
