@@ -20,7 +20,7 @@ from . import __version__
 from .analytics import build_report
 from .constructions import lower_bound_instances
 from .harness import run_batches, sweep, sweep_point
-from .instance import Instance, InvalidInstanceError, dump_instance
+from .instance import Instance, InvalidInstanceError
 from .policies import PolicyConfig, _count
 from .verify import SUITES, run_suites
 
@@ -116,7 +116,7 @@ def _parse_experiment(args):
     instance, instance_doc = _instance_from_spec(config["instance"], base_dir)
     runs = args.runs if args.runs is not None else config.get("runs", 1)
     master_seed = args.seed if args.seed is not None else config.get("master_seed", 0)
-    stride = args.stride if args.stride is not None else config.get("stride")
+    stride = config.get("stride")
     with _config_errors():
         horizon = _count("horizon", config.get("horizon", instance.horizon), 1)
         runs = _count("runs", runs, 1)
@@ -151,16 +151,23 @@ def _parse_experiment(args):
     return instance, header, policies, batch, config.get("sweep")
 
 
-def _write_outputs(out_dir: Path, files: dict, json_name: str, document: dict) -> None:
-    """Write each CSV of ``files`` (name to lines), then ``document`` as
-    ``json_name``.  On any failure the files written so far are removed
-    and the error propagates."""
-    texts = {out_dir / name: "\n".join(lines) + "\n" for name, lines in files.items()}
-    texts[out_dir / json_name] = json.dumps(document, indent=2, sort_keys=True) + "\n"
+def _csv_text(header: str, rows) -> str:
+    return "\n".join([header, *rows]) + "\n"
+
+
+def _json_text(document: dict, sort_keys: bool = True) -> str:
+    return json.dumps(document, indent=2, sort_keys=sort_keys) + "\n"
+
+
+def _write_outputs(out_dir: Path, texts: dict[str, str]) -> None:
+    """Write each file of ``texts`` (name to text) in order.  On any
+    failure the files written so far are removed and the error
+    propagates."""
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     try:
-        for path, text in texts.items():
+        for name, text in texts.items():
+            path = out_dir / name
             written.append(path)
             path.write_text(text, encoding="utf-8")
     except BaseException:
@@ -175,13 +182,14 @@ def cmd_run(args) -> int:
     aggregates = run_batches(instance, batches, batch["parallelism"], batch["stride"])
     files, results = {}, {}
     for (label, cfg), aggregate in zip(policies, aggregates):
-        files[f"{label}.csv"] = ["grid_t,mean_regret,std_regret"] + [
+        rows = (
             f"{int(t)},{_format_float(float(m))},{_format_float(float(s))}"
             for t, m, s in zip(aggregate.grid, aggregate.mean_regret, aggregate.std_regret)
-        ]
+        )
+        files[f"{label}.csv"] = _csv_text("grid_t,mean_regret,std_regret", rows)
         results[label] = {"config": cfg.to_dict(), "aggregate": aggregate.to_dict()}
-    document = {"version": __version__, **header, "results": results}
-    _write_outputs(Path(args.out), files, "results.json", document)
+    files["results.json"] = _json_text({"version": __version__, **header, "results": results})
+    _write_outputs(Path(args.out), files)
     return EXIT_OK
 
 
@@ -203,14 +211,18 @@ def cmd_sweep(args) -> int:
     files, results = {}, {}
     for label, cfg in policies:
         points = sweep(instance, cfg, axis=axis, grid=grid, **batch)
-        files[f"{label}_sweep.csv"] = ["axis_value,resolved,mean_final_regret,std_final_regret"] + [
+        rows = (
             f"{_format_float(p.axis_value)},{p.resolved},"
             f"{_format_float(p.mean_final_regret)},{_format_float(p.std_final_regret)}"
             for p in points
-        ]
+        )
+        files[f"{label}_sweep.csv"] = _csv_text(
+            "axis_value,resolved,mean_final_regret,std_final_regret", rows
+        )
         results[label] = {"config": cfg.to_dict(), "points": [asdict(p) for p in points]}
     document = {"version": __version__, **header, "axis": axis, "grid": grid, "results": results}
-    _write_outputs(Path(args.out), files, "sweep.json", document)
+    files["sweep.json"] = _json_text(document)
+    _write_outputs(Path(args.out), files)
     return EXIT_OK
 
 
@@ -228,11 +240,11 @@ def cmd_lower_bound(args) -> int:
     out_dir = Path(args.out)
     with _config_errors():
         pair = lower_bound_instances(args.arms, args.sigma_bar, args.horizon)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    base_path = out_dir / "instance_base.json"
-    boosted_path = out_dir / "instance_boosted.json"
-    dump_instance(pair.base, base_path)
-    dump_instance(pair.boosted, boosted_path)
+    files = {
+        # instance documents keep the key order of Instance.to_dict
+        "instance_base.json": _json_text(pair.base.to_dict(), sort_keys=False),
+        "instance_boosted.json": _json_text(pair.boosted.to_dict(), sort_keys=False),
+    }
     summary = {
         "version": __version__,
         "arms": args.arms,
@@ -243,11 +255,10 @@ def cmd_lower_bound(args) -> int:
         "base_final_gap": str(pair.base_gap),
         "boosted_final_gap": str(pair.boosted_gap),
         "gap_constants_ok": True,
-        "files": {"base": base_path.name, "boosted": boosted_path.name},
+        "files": {"base": "instance_base.json", "boosted": "instance_boosted.json"},
     }
-    (out_dir / "lower_bound.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    files["lower_bound.json"] = _json_text(summary)
+    _write_outputs(out_dir, files)
     print(f"regret bound {pair.bound} written to {out_dir}")
     return EXIT_OK
 
@@ -281,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override master seed")
         p.add_argument("--runs", type=int, default=None, help="override run count")
         p.add_argument("--threads", type=int, default=1, help="parallel workers")
-        p.add_argument("--stride", type=int, default=None, help="trajectory grid stride")
         p.set_defaults(func=fn)
 
     p = sub.add_parser("verify", help="run the property suites")

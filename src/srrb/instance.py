@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .curves import RewardCurve, RewardLaw, curve_from_dict, law_from_dict
 
-__all__ = ["Arm", "Instance", "InvalidInstanceError", "dump_instance"]
+__all__ = ["Arm", "Instance", "InvalidInstanceError"]
 
 
 class InvalidInstanceError(ValueError):
@@ -165,10 +164,3 @@ class Instance:
 
     def __repr__(self) -> str:
         return f"Instance(K={self.num_arms}, T={self._horizon}, optimal_arm={self._optimal_arm})"
-
-
-def dump_instance(instance: Instance, path) -> None:
-    """Write an instance document (JSON) to disk."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(instance.to_dict(), fh, indent=2)
-        fh.write("\n")

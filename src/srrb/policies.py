@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,9 +30,6 @@ __all__ = [
     "default_sw_window",
     "POLICY_KINDS",
 ]
-
-POLICY_KINDS = ("beta_swts", "gauss_swgts", "ucb1", "sw_ucb")
-
 
 def default_precision_scale(law: RewardLaw) -> float:
     """Posterior precision scale min(1 / (4 lambda^2), 1) for a reward law."""
@@ -69,26 +67,18 @@ def _positive_real(name: str, value):
     return value if isinstance(value, (int, float)) else float(value)
 
 
-# the one kind-specific parameter each kind reads
-_KIND_PARAMS = {"gauss_swgts": "precision_scale", "ucb1": "ucb_alpha", "sw_ucb": "sw_xi"}
-
-
 @dataclass(frozen=True)
 class PolicyConfig:
     """Declarative policy description, checked in full on construction.
 
-    window = None means the kind's default: the full horizon, or
-    ``default_sw_window`` for ``sw_ucb``.  The named variants are
-    parameterizations of the two TS kinds: forced_pulls = 0 with full
-    window is plain Beta-TS, forced_pulls > 0 adds the explore-then phase,
-    window < T enables sliding windows, and the Gaussian flavor
-    conventionally uses forced_pulls >= 1.  ``ucb1`` is SW-UCB with
-    xi = ucb_alpha, whose full-horizon window keeps lifetime statistics.
-
-    ``precision_scale``, ``ucb_alpha`` and ``sw_xi`` are read by
-    ``gauss_swgts``, ``ucb1`` and ``sw_ucb`` only, and may be set on that
-    kind only; ``resolve`` fills in their defaults.  The label names the
-    policy's output files, so it must be a plain file name.
+    The kind's row of ``_KINDS`` names its one parameter field
+    (``precision_scale``, ``ucb_alpha`` or ``sw_xi``, which may be set on
+    that kind only) and the defaults ``resolve`` fills in.  The named
+    variants are parameterizations of the two TS kinds: forced_pulls = 0
+    with full window is plain Beta-TS, forced_pulls > 0 adds the
+    explore-then phase, window < T enables sliding windows, and the
+    Gaussian flavor conventionally uses forced_pulls >= 1.  The label
+    names the policy's output files, so it must be a plain file name.
     """
 
     kind: str
@@ -113,11 +103,11 @@ class PolicyConfig:
             "forced_pulls": _count("forced_pulls", self.forced_pulls, 0),
             "window": None if self.window is None else _count("window", self.window, 1),
         }
-        for name in _KIND_PARAMS.values():
+        for name in _PARAMS:
             value = getattr(self, name)
             if value is not None:
                 checked[name] = _positive_real(name, value)
-                if name != _KIND_PARAMS.get(self.kind):
+                if name != _KINDS[self.kind].param:
                     raise ValueError(f"{name} does not apply to {self.kind} policies")
         for name, value in checked.items():
             object.__setattr__(self, name, value)
@@ -132,23 +122,18 @@ class PolicyConfig:
         laws = () if law is None else (law,) if isinstance(law, RewardLaw) else tuple(law)
         if self.kind == "beta_swts" and any(lw.kind != "bernoulli" for lw in laws):
             raise ValueError("Beta posteriors require a Bernoulli reward law")
-        window = self.window
-        if window is None:
-            window = default_sw_window(horizon) if self.kind == "sw_ucb" else horizon
+        row = _KINDS[self.kind]
+        window = row.default_window(horizon) if self.window is None else self.window
         if window > horizon:
             raise ValueError(f"window {window} exceeds horizon {horizon}")
-        precision, alpha, xi = self.precision_scale, self.ucb_alpha, self.sw_xi
-        if self.kind == "gauss_swgts" and precision is None:
-            precision = min((default_precision_scale(lw) for lw in laws), default=1.0)
-        if self.kind == "ucb1" and alpha is None:
-            alpha = 2.0
-        if self.kind == "sw_ucb" and xi is None:
-            xi = 0.6
-        return replace(self, window=window, precision_scale=precision, ucb_alpha=alpha, sw_xi=xi)
+        filled = {"window": window}
+        if row.param is not None and getattr(self, row.param) is None:
+            filled[row.param] = row.default(laws)
+        return replace(self, **filled)
 
     def to_dict(self) -> dict:
         out = {"kind": self.kind, "forced_pulls": self.forced_pulls, "window": self.window}
-        param = _KIND_PARAMS.get(self.kind)
+        param = _KINDS[self.kind].param
         if param is not None:
             out[param] = getattr(self, param)
         if self.label is not None:
@@ -167,7 +152,14 @@ class Policy:
     last ``window`` (arm, reward) pulls evicts in O(1).  A round adds the
     new reward before it subtracts the leaving one; the float sums depend
     on that order.
+
+    Every kind runs the same round: the forced round-robin phase, then (if
+    ``pulls_empty_arms``) the lowest arm whose window holds no pull, else
+    the argmax of the kind's ``_index``.  ``param`` holds the value of the
+    kind's one parameter field, or None.
     """
+
+    pulls_empty_arms = True
 
     def __init__(
         self, config: PolicyConfig, num_arms: int, horizon: int, rng: np.random.Generator
@@ -176,6 +168,8 @@ class Policy:
         self.horizon = horizon
         self.window = config.window
         self.forced_pulls = config.forced_pulls
+        param = _KINDS[config.kind].param
+        self.param = None if param is None else getattr(config, param)
         self.rng = rng
         self._ring: list[tuple[int, float]] = []
         self._counts = np.zeros(num_arms, dtype=np.int64)
@@ -213,9 +207,12 @@ class Policy:
         self._check_round(t)
         if t <= self.num_arms * self.forced_pulls:
             return (t - 1) % self.num_arms
-        return self._select(t)
+        if self._empty and self.pulls_empty_arms:
+            return int(np.flatnonzero(self._counts == 0)[0])
+        return self._argmax_with_ties(self._index(t))
 
-    def _select(self, t: int) -> int:
+    def _index(self, t: int) -> np.ndarray:
+        """Per-arm selection values at round t."""
         raise NotImplementedError
 
     def update(self, arm: int, reward: float, t: int) -> None:
@@ -239,9 +236,6 @@ class Policy:
         if counts[old_arm] == 0:
             self._empty += 1
 
-    def _first_empty_arm(self) -> int:
-        return int(np.flatnonzero(self._counts == 0)[0])
-
 
 class BetaSlidingWindowTS(Policy):
     """Thompson sampling with Beta(S+1, N-S+1) posteriors on the windowed
@@ -251,9 +245,11 @@ class BetaSlidingWindowTS(Policy):
     phase; arms with an empty window simply sample from the flat Beta(1,1).
     """
 
-    def _select(self, t: int) -> int:
+    pulls_empty_arms = False
+
+    def _index(self, t: int) -> np.ndarray:
         counts, sums = self._counts, self._sums
-        return self._argmax_with_ties(self.rng.beta(sums + 1.0, counts - sums + 1.0))
+        return self.rng.beta(sums + 1.0, counts - sums + 1.0)
 
     def update(self, arm: int, reward: float, t: int) -> None:
         if reward != 0.0 and reward != 1.0:
@@ -263,55 +259,60 @@ class BetaSlidingWindowTS(Policy):
 
 class GaussianSlidingWindowTS(Policy):
     """Thompson sampling with Normal(S/N, 1/(scale*N)) posteriors on the
-    windowed statistics.
+    windowed statistics, scale = ``precision_scale``."""
 
-    Whenever some arm has an empty window the lowest-indexed such arm is
-    pulled outright so the posterior stays well defined.
-    """
-
-    def __init__(self, config, num_arms, horizon, rng):
-        super().__init__(config, num_arms, horizon, rng)
-        self.precision_scale = config.precision_scale
-
-    def _select(self, t: int) -> int:
-        if self._empty:
-            return self._first_empty_arm()
+    def _index(self, t: int) -> np.ndarray:
         counts = self._counts
         means = self._sums / counts
-        scales = np.sqrt(1.0 / (self.precision_scale * counts))
+        scales = np.sqrt(1.0 / (self.param * counts))
         # bit-identical to rng.normal(means, scales) at a fraction of its cost
-        return self._argmax_with_ties(means + scales * self.rng.standard_normal(self.num_arms))
+        return means + scales * self.rng.standard_normal(self.num_arms)
 
 
 class SlidingWindowUCB(Policy):
     """Optimistic index on windowed statistics:
-    mean + sqrt(xi * log(min(t, window)) / N); an arm with an empty window
-    is pulled outright, lowest index first.
+    mean + sqrt(xi * log(min(t, window)) / N).
 
     UCB1 is this index with xi = ucb_alpha; over its default full-horizon
     window the statistics are the lifetime ones and the bonus is
-    sqrt(alpha * log(t) / N).
+    sqrt(alpha * log(t) / N).  For ``sw_ucb`` xi is ``sw_xi``.
     """
 
-    def __init__(self, config, num_arms, horizon, rng):
-        super().__init__(config, num_arms, horizon, rng)
-        self.xi = config.ucb_alpha if config.kind == "ucb1" else config.sw_xi
-
-    def _select(self, t: int) -> int:
-        if self._empty:
-            return self._first_empty_arm()
+    def _index(self, t: int) -> np.ndarray:
         counts = self._counts
-        means = self._sums / counts
-        bonus = np.sqrt(self.xi * math.log(min(t, self.window)) / counts)
-        return self._argmax_with_ties(means + bonus)
+        return self._sums / counts + np.sqrt(self.param * math.log(min(t, self.window)) / counts)
 
 
-_POLICY_CLASSES = {
-    "beta_swts": BetaSlidingWindowTS,
-    "gauss_swgts": GaussianSlidingWindowTS,
-    "ucb1": SlidingWindowUCB,
-    "sw_ucb": SlidingWindowUCB,
+class _Kind(NamedTuple):
+    """A policy kind: its class, the one PolicyConfig field it reads (or
+    None), that field's default from the laws of every arm, and its window
+    for a horizon when the config leaves the window unset."""
+
+    cls: type[Policy]
+    param: str | None
+    default: Callable[[tuple[RewardLaw, ...]], float] | None
+    default_window: Callable[[int], int]
+
+
+def _full_horizon(horizon: int) -> int:
+    return horizon
+
+
+# every policy kind: a new kind is one row here plus one ``_index``
+_KINDS = {
+    "beta_swts": _Kind(BetaSlidingWindowTS, None, None, _full_horizon),
+    "gauss_swgts": _Kind(
+        GaussianSlidingWindowTS,
+        "precision_scale",
+        # from the largest variance proxy
+        lambda laws: min((default_precision_scale(lw) for lw in laws), default=1.0),
+        _full_horizon,
+    ),
+    "ucb1": _Kind(SlidingWindowUCB, "ucb_alpha", lambda laws: 2.0, _full_horizon),
+    "sw_ucb": _Kind(SlidingWindowUCB, "sw_xi", lambda laws: 0.6, default_sw_window),
 }
+POLICY_KINDS = tuple(_KINDS)
+_PARAMS = tuple(row.param for row in _KINDS.values() if row.param is not None)
 
 
 def make_policy(
@@ -322,10 +323,6 @@ def make_policy(
     law: RewardLaw | Sequence[RewardLaw] | None = None,
 ) -> Policy:
     """Instantiate a policy from its configuration, resolved for
-    ``horizon``.
-
-    The law (one law, or the laws of every arm) supplies the default
-    Gaussian precision scale and lets the Beta flavor reject non-Bernoulli
-    reward models upfront.
-    """
-    return _POLICY_CLASSES[config.kind](config.resolve(horizon, law), num_arms, horizon, rng)
+    ``horizon`` and ``law`` (one law, or the laws of every arm) by
+    :meth:`PolicyConfig.resolve`."""
+    return _KINDS[config.kind].cls(config.resolve(horizon, law), num_arms, horizon, rng)

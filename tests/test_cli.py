@@ -22,6 +22,22 @@ def _read_instance(path):
     return Instance.from_dict(json.loads(path.read_text()))
 
 
+def _fail_write(monkeypatch, n):
+    """Make the n-th ``Path.write_text`` call raise; returns the list of
+    file names it was called with."""
+    calls = []
+    real_write_text = Path.write_text
+
+    def failing(path, *args, **kwargs):
+        calls.append(path.name)
+        if len(calls) == n:
+            raise RuntimeError("boom")
+        return real_write_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", failing)
+    return calls
+
+
 @pytest.fixture
 def stationary_file(tmp_path):
     doc = {
@@ -98,10 +114,10 @@ class TestAnalyze:
 
     def test_persistent_pair_file(self, tmp_path):
         from srrb.constructions import persistent_gap_pair
-        from srrb.instance import dump_instance
 
         path = tmp_path / "pair.json"
-        dump_instance(persistent_gap_pair(500, exponent=0.5), path)
+        doc = persistent_gap_pair(500, exponent=0.5).to_dict()
+        path.write_text(json.dumps(doc, indent=2) + "\n")
         out = tmp_path / "report.json"
         assert main(["analyze", str(path), "--out", str(out)]) == 0
         report = json.loads(out.read_text())
@@ -413,16 +429,7 @@ class TestRun:
     def test_unexpected_error_raises_and_removes_outputs(
         self, experiment_config, tmp_path, monkeypatch
     ):
-        calls = []
-        real_write_text = Path.write_text
-
-        def failing_second_write(path, *args, **kwargs):
-            calls.append(path.name)
-            if len(calls) == 2:
-                raise RuntimeError("boom")
-            return real_write_text(path, *args, **kwargs)
-
-        monkeypatch.setattr(Path, "write_text", failing_second_write)
+        calls = _fail_write(monkeypatch, 2)
         out = tmp_path / "o"
         with pytest.raises(RuntimeError, match="boom"):
             main(["run", "--config", str(experiment_config), "--out", str(out)])
@@ -573,6 +580,16 @@ class TestLowerBound:
             ["lower-bound", "--arms", "3", "--sigma-bar", "60", "--horizon", "100", "--out", str(tmp_path)]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("failing_write", [2, 3])
+    def test_failed_write_leaves_no_files(self, tmp_path, monkeypatch, failing_write):
+        calls = _fail_write(monkeypatch, failing_write)
+        out = tmp_path / "lb"
+        argv = ["--arms", "4", "--sigma-bar", "10", "--horizon", "200", "--out", str(out)]
+        with pytest.raises(RuntimeError, match="boom"):
+            main(["lower-bound", *argv])
+        assert len(calls) == failing_write
+        assert not any(out.iterdir())
 
     # sha256 of every output file: the instance documents and the summary
     # with its exact gap constants stay the same byte for byte

@@ -343,7 +343,7 @@ class TestDeterminism:
     def test_ucb1_is_sw_ucb_with_its_window(self):
         ucb1 = build("ucb1", 3, 50, ucb_alpha=0.8)
         assert type(ucb1) is type(build("sw_ucb", 3, 50))
-        assert (ucb1.window, ucb1.xi) == (50, 0.8)
+        assert (ucb1.window, ucb1.param) == (50, 0.8)
         # an explicit window is honoured, as for sw_ucb
         assert build("ucb1", 3, 50, window=7).window == 7
 
@@ -480,9 +480,13 @@ class TestRingMatchesDequeOracle:
 
     def test_empty_window_reentry(self):
         # window 7 over 15 arms empties windows all the time; the Gaussian
-        # and SW-UCB policies pull such arms outright, lowest index first
-        for kind in ("gauss_swgts", "sw_ucb"):
-            policy = _policy_under_test(kind, 15, self.HORIZON, 7, 0, 3)
+        # and both UCB policies pull such arms outright, lowest index first
+        # (the oracle runs ucb1 only at its full window, so build it here)
+        for policy in (
+            _policy_under_test("gauss_swgts", 15, self.HORIZON, 7, 0, 3),
+            _policy_under_test("sw_ucb", 15, self.HORIZON, 7, 0, 3),
+            build("ucb1", 15, self.HORIZON, window=7, seed=3),
+        ):
             for t in range(1, 60):
                 counts = policy.window_counts
                 arm = policy.select_arm(t)
