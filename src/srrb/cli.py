@@ -74,7 +74,21 @@ def _format_float(x: float) -> str:
     return f"{x:.12g}"
 
 
+def _checked_out(out: str, is_dir: bool = True) -> Path:
+    """The ``--out`` path, checked before any work: nothing above it may
+    be a file, and if it exists it must be a directory (``is_dir``) or
+    not one (an output file)."""
+    path = Path(out)
+    for parent in path.parents:
+        if parent.exists() and not parent.is_dir():
+            raise ConfigError(f"--out {out}: {parent} is not a directory")
+    if path.exists() and path.is_dir() != is_dir:
+        raise ConfigError(f"--out {out}: {'not' if is_dir else 'is'} a directory")
+    return path
+
+
 def cmd_analyze(args) -> int:
+    out = None if args.out is None else _checked_out(args.out, is_dir=False)
     instance, _ = _instance_from_spec({"file": args.instance})
     try:
         tau_list = [int(v) for v in args.tau_list.split(",") if v.strip()]
@@ -92,11 +106,11 @@ def cmd_analyze(args) -> int:
         )
     document = {"version": __version__, "instance_hash": _canonical_hash(instance.to_dict())}
     document.update(report.to_dict())
-    payload = json.dumps(document, indent=2, sort_keys=True, allow_nan=False)
-    if args.out:
-        Path(args.out).write_text(payload + "\n", encoding="utf-8")
+    text = _json_text(document)
+    if out is None:
+        sys.stdout.write(text)
     else:
-        print(payload)
+        _write_outputs(out.parent, {out.name: text})
     return EXIT_OK
 
 
@@ -156,7 +170,7 @@ def _csv_text(header: str, rows) -> str:
 
 
 def _json_text(document: dict, sort_keys: bool = True) -> str:
-    return json.dumps(document, indent=2, sort_keys=sort_keys) + "\n"
+    return json.dumps(document, indent=2, sort_keys=sort_keys, allow_nan=False) + "\n"
 
 
 def _write_outputs(out_dir: Path, texts: dict[str, str]) -> None:
@@ -177,6 +191,7 @@ def _write_outputs(out_dir: Path, texts: dict[str, str]) -> None:
 
 
 def cmd_run(args) -> int:
+    out_dir = _checked_out(args.out)
     instance, header, policies, batch, _ = _parse_experiment(args)
     batches = [(cfg, batch["runs"], batch["master_seed"]) for _, cfg in policies]
     aggregates = run_batches(instance, batches, batch["parallelism"], batch["stride"])
@@ -189,11 +204,12 @@ def cmd_run(args) -> int:
         files[f"{label}.csv"] = _csv_text("grid_t,mean_regret,std_regret", rows)
         results[label] = {"config": cfg.to_dict(), "aggregate": aggregate.to_dict()}
     files["results.json"] = _json_text({"version": __version__, **header, "results": results})
-    _write_outputs(Path(args.out), files)
+    _write_outputs(out_dir, files)
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
+    out_dir = _checked_out(args.out)
     instance, header, policies, batch, sweep_spec = _parse_experiment(args)
     if not sweep_spec:
         raise ConfigError("sweep requires a 'sweep' section in the config")
@@ -222,7 +238,7 @@ def cmd_sweep(args) -> int:
         results[label] = {"config": cfg.to_dict(), "points": [asdict(p) for p in points]}
     document = {"version": __version__, **header, "axis": axis, "grid": grid, "results": results}
     files["sweep.json"] = _json_text(document)
-    _write_outputs(Path(args.out), files)
+    _write_outputs(out_dir, files)
     return EXIT_OK
 
 
@@ -237,7 +253,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_lower_bound(args) -> int:
-    out_dir = Path(args.out)
+    out_dir = _checked_out(args.out)
     with _config_errors():
         pair = lower_bound_instances(args.arms, args.sigma_bar, args.horizon)
     files = {

@@ -3,14 +3,15 @@
 Everything here is a pure function of its inputs.  The binomial CDF and
 pmf are computed with a term recurrence anchored at the mode (no
 incomplete-beta machinery); for the pmf the recurrence runs as a
-sequential numpy cumulative product, and as a Python loop for small n,
-with the same bits either way.  One function, ``_anchors``, chooses
+sequential numpy cumulative product.  One function, ``_anchors``, chooses
 between a float and an exact integer anchor; ``binomial_pmfs`` walks the
 trial count upward and carries the exact anchor from one count to the
 next, which is how the total-variation term of the pull bounds gets its
 reference pmfs.  One prefix walk, ``_pb_prefix_pmfs``, runs the O(n^2)
 Poisson-Binomial convolution, and the Beta tail uses the discrete
 Beta-Binomial identity, so all routines stay in elementary arithmetic.
+The inverse-tail expectation, like the TV distance, takes its law as a
+pmf, so a caller builds each pmf once and reads it at many thresholds.
 """
 
 from __future__ import annotations
@@ -31,8 +32,7 @@ __all__ = [
     "pb_pmf",
     "tv_distance",
     "roos_tv_bound",
-    "expected_inverse_tail_pb",
-    "expected_inverse_tail_binomial",
+    "expected_inverse_tail",
 ]
 
 PB_MAX_LEN = 4096
@@ -40,10 +40,6 @@ PB_MAX_LEN = 4096
 # Terms smaller than this (relative to the running total) cannot move the
 # final double, so the CDF recurrence stops there.
 _TERM_CUTOFF = 1e-22
-
-# From this many trials on, binomial_pmf's recurrences run as numpy
-# cumulative products; below it a Python loop is faster.
-_CUMPROD_MIN_N = 64
 
 
 def bernoulli_kl(x: float, y: float) -> float:
@@ -177,23 +173,11 @@ def _pmf_from_anchor(n: int, p: float, mode: int, anchor: float) -> np.ndarray:
 
     The ratio recurrences run outward from the mode, where the terms only
     decay.  ``np.multiply.accumulate`` multiplies strictly in sequence, so
-    each entry is the same product, in the same order, as the loop's; the
-    loop is kept below ``_CUMPROD_MIN_N`` trials, where it is faster.
+    each entry is the same product, in the same order, as a term-by-term
+    loop's.
     """
     q = 1.0 - p
-    if n < _CUMPROD_MIN_N:
-        out = np.empty(n + 1)
-        out[mode] = anchor
-        t = anchor
-        for s in range(mode, 0, -1):
-            t *= (s * q) / ((n - s + 1) * p)
-            out[s - 1] = t
-        t = anchor
-        for s in range(mode, n):
-            t *= ((n - s) * p) / ((s + 1) * q)
-            out[s + 1] = t
-        return out
-    # ratio pmf(s-1)/pmf(s) for s = mode .. 1, and pmf(s+1)/pmf(s) for s = mode .. n-1
+    # ratio pmf(s-1)/pmf(s) at s = mode .. 1, and pmf(s+1)/pmf(s) at s = mode .. n-1
     down = np.arange(mode, -1, -1, dtype=float)
     down[1:] = (down[:-1] * q) / ((n - down[:-1] + 1) * p)
     down[0] = anchor
@@ -338,33 +322,18 @@ def _cdf_column(trials: int, p: float) -> np.ndarray:
     return cdf
 
 
-def _expected_inverse_tail(pmf: np.ndarray, j: int, threshold: float) -> float:
-    return math.fsum(pmf / _cdf_column(j + 1, threshold))
-
-
-def expected_inverse_tail_pb(probs: Sequence[float], threshold: float) -> float:
-    """E[1 / P(Beta(S+1, j-S+1) > y)] with S Poisson-Binomial over the
-    given success probabilities, by exact enumeration over S.
+def expected_inverse_tail(pmf: Sequence[float], threshold: float) -> float:
+    """E[1 / P(Beta(S+1, j-S+1) > y)] for S with the given pmf on 0 .. j,
+    by exact enumeration over S.
 
     The Beta tail equals the binomial CDF F_{j+1,y}(S), so the summand is
-    pmf(S) / F_{j+1,y}(S).
+    pmf(S) / F_{j+1,y}(S).  The pmf comes from :func:`binomial_pmf` or
+    :func:`pb_pmf`, which check the success probabilities.
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
-    probs = tuple(float(v) for v in probs)
-    j = len(probs)
-    if j > 30:
-        raise ValueError("exact enumeration supported for at most 30 pulls")
-    return _expected_inverse_tail(pb_pmf(probs), j, threshold)
-
-
-def expected_inverse_tail_binomial(j: int, x: float, threshold: float) -> float:
-    """Same expectation as :func:`expected_inverse_tail_pb` with S
-    Binomial(j, x)."""
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"threshold must be in (0, 1), got {threshold}")
-    if j < 0 or j > 30:
-        raise ValueError("exact enumeration supported for 0 <= j <= 30")
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x must be in [0, 1], got {x}")
-    return _expected_inverse_tail(binomial_pmf(j, x), j, threshold)
+    pmf = np.asarray(pmf, dtype=float)
+    j = pmf.size - 1
+    if not 0 <= j <= 30:
+        raise ValueError("exact enumeration supported for pmfs of 1 to 31 entries")
+    return math.fsum(pmf / _cdf_column(j + 1, threshold))

@@ -127,7 +127,7 @@ def test_criterion_5_vanishing_gap_envelope():
 
 
 def test_criterion_6_window_accounting():
-    suite = windows_suite(seed=77, traces=100, num_arms=5, horizon=2000, windows=(1, 7, 64, 2000))
+    suite = windows_suite()
     check = suite.checks[0]
     report(6, check.passed, f"window statistics exact on {check.detail}, mismatches {check.worst:.0f}")
 

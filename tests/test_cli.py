@@ -534,6 +534,57 @@ class TestSweep:
         assert main(["sweep", "--config", str(experiment_config), "--out", str(tmp_path / "o")]) == 2
 
 
+class TestOutPath:
+    """``--out`` is checked before anything is simulated or written."""
+
+    @pytest.fixture
+    def argvs(self, experiment_config, tmp_path):
+        config = json.loads(experiment_config.read_text())
+        config["sweep"] = {"axis": "forced_pulls", "grid": [0, 5]}
+        sweep_config = tmp_path / "sweep.json"
+        sweep_config.write_text(json.dumps(config))
+        return {
+            "run": ["run", "--config", str(experiment_config)],
+            "sweep": ["sweep", "--config", str(sweep_config)],
+            "lower-bound": ["lower-bound", "--arms", "4", "--sigma-bar", "10", "--horizon", "200"],
+        }
+
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below_file"])
+    @pytest.mark.parametrize("command", ["run", "sweep", "lower-bound"])
+    def test_not_a_directory_exits_2_before_any_work(
+        self, argvs, tmp_path, monkeypatch, capsys, command, below
+    ):
+        def no_runs(*args, **kwargs):
+            pytest.fail("simulation started before --out was checked")
+
+        monkeypatch.setattr("srrb.cli.run_batches", no_runs)
+        monkeypatch.setattr("srrb.harness.run_batches", no_runs)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("keep")
+        writes = _fail_write(monkeypatch, 1)
+        out = blocker / "o" if below else blocker
+        assert main([*argvs[command], "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --out {out}: ") and "Traceback" not in err
+        assert writes == [] and blocker.read_text() == "keep"
+
+    def test_analyze_creates_missing_directories(self, stationary_file, tmp_path, capsys):
+        assert main(["analyze", str(stationary_file)]) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "new_dir" / "r.json"
+        assert main(["analyze", str(stationary_file), "--out", str(out)]) == 0
+        assert out.read_text() == printed
+
+    @pytest.mark.parametrize("where", ["below_file", "directory"])
+    def test_analyze_bad_out_exits_2(self, stationary_file, tmp_path, capsys, where):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("keep")
+        out = blocker / "r.json" if where == "below_file" else tmp_path
+        assert main(["analyze", str(stationary_file), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: --out {out}: ")
+        assert blocker.read_text() == "keep"
+
+
 class TestVerify:
     def test_identities_suite_passes(self, capsys):
         assert main(["verify", "--suite", "identities"]) == 0

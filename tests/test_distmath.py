@@ -12,15 +12,13 @@ import scipy.stats as st
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-import srrb.distmath
 from srrb.distmath import (
     bernoulli_kl,
     beta_tail,
     binomial_cdf,
     binomial_pmf,
     binomial_pmfs,
-    expected_inverse_tail_binomial,
-    expected_inverse_tail_pb,
+    expected_inverse_tail,
     pb_pmf,
     roos_tv_bound,
     tv_distance,
@@ -171,10 +169,9 @@ class TestBinomialPmf:
         for n in (3, 64, 257):
             assert binomial_pmf(n, 0.37).sum() == pytest.approx(1.0, abs=1e-12)
 
-    # The loop/cumulative-product crossover, and the n = 1000/1001 switch to
-    # the exact anchor, each crossed in both directions.
-    CROSSOVER = srrb.distmath._CUMPROD_MIN_N
-    EDGE_NS = (CROSSOVER - 2, CROSSOVER - 1, CROSSOVER, CROSSOVER + 1, 999, 1000, 1001, 1002)
+    # The smallest trial counts, and the n = 1000/1001 switch to the exact
+    # anchor crossed in both directions.
+    EDGE_NS = (0, 1, 2, 999, 1000, 1001, 1002)
     EDGE_PS = (0.0, 1.0, 1e-9, 1.0 - 1e-9, 0.5)
 
     def test_same_bits_as_term_loop_for_random_p(self):
@@ -192,14 +189,6 @@ class TestBinomialPmf:
         for n in self.EDGE_NS:
             assert int(np.argmax(loop_binomial_pmf(n, 1e-9))) == 0
             assert int(np.argmax(loop_binomial_pmf(n, 1.0 - 1e-9))) == n
-
-    @pytest.mark.parametrize("crossover", [0, 10**9])
-    def test_both_recurrence_forms_give_the_same_bits(self, monkeypatch, crossover):
-        # every n through the cumulative product, then every n through the loop
-        monkeypatch.setattr(srrb.distmath, "_CUMPROD_MIN_N", crossover)
-        for n in range(0, 2 * self.CROSSOVER + 2):
-            for p in (0.3, 0.97, 1e-9, 1.0 - 1e-9):
-                assert binomial_pmf(n, p).tobytes() == loop_binomial_pmf(n, p).tobytes(), (n, p)
 
 
 class TestBinomialPmfs:
@@ -352,42 +341,54 @@ class TestRoosTvBound:
 
 
 class TestExpectedInverseTail:
+    @staticmethod
+    def oracle(pmf, y):
+        """Direct sum of pmf(s) / F_{j+1,y}(s) with scipy's binomial CDF."""
+        j = len(pmf) - 1
+        return sum(pm / st.binom.cdf(s, j + 1, y) for s, pm in enumerate(pmf))
+
     def test_empty_pull_case(self):
         for y in (0.2, 0.5, 0.8):
-            assert expected_inverse_tail_binomial(0, 0.4, y) == pytest.approx(
+            assert expected_inverse_tail(binomial_pmf(0, 0.4), y) == pytest.approx(
                 1.0 / (1.0 - y), rel=1e-13
             )
 
     def test_pb_equals_binomial_for_equal_probs(self):
         for p in (0.3, 0.62):
             for y in (0.25, 0.65):
-                assert expected_inverse_tail_pb([p] * 6, y) == pytest.approx(
-                    expected_inverse_tail_binomial(6, p, y), rel=1e-12
+                assert expected_inverse_tail(pb_pmf([p] * 6), y) == pytest.approx(
+                    expected_inverse_tail(binomial_pmf(6, p), y), rel=1e-12
                 )
 
     def test_ordering_example(self):
-        # independent oracle: direct sums with exact combinatorics
-        def oracle_bin(j, x, y):
-            pmf = enum_binomial_pmf(j, x)
-            cdf = [st.binom.cdf(s, j + 1, y) for s in range(j + 1)]
-            return sum(pm / c for pm, c in zip(pmf, cdf))
-
-        def oracle_pb(probs, y):
-            j = len(probs)
-            pmf = enum_pb_pmf(probs)
-            cdf = [st.binom.cdf(s, j + 1, y) for s in range(j + 1)]
-            return sum(pm / c for pm, c in zip(pmf, cdf))
-
+        # independent oracle: direct sums over exactly enumerated pmfs
         probs, y = [0.6, 0.8], 0.5
-        e_pb = expected_inverse_tail_pb(probs, y)
-        e_mean = expected_inverse_tail_binomial(2, 0.7, y)
-        e_low = expected_inverse_tail_binomial(2, 0.6, y)
-        assert e_pb == pytest.approx(oracle_pb(probs, y), rel=1e-10)
-        assert e_mean == pytest.approx(oracle_bin(2, 0.7, y), rel=1e-10)
-        assert e_low == pytest.approx(oracle_bin(2, 0.6, y), rel=1e-10)
+        e_pb = expected_inverse_tail(pb_pmf(probs), y)
+        e_mean = expected_inverse_tail(binomial_pmf(2, 0.7), y)
+        e_low = expected_inverse_tail(binomial_pmf(2, 0.6), y)
+        assert e_pb == pytest.approx(self.oracle(enum_pb_pmf(probs), y), rel=1e-10)
+        assert e_mean == pytest.approx(self.oracle(enum_binomial_pmf(2, 0.7), y), rel=1e-10)
+        assert e_low == pytest.approx(self.oracle(enum_binomial_pmf(2, 0.6), y), rel=1e-10)
         assert e_pb <= e_mean * (1 + 1e-12)
         assert e_mean <= e_low * (1 + 1e-12)
 
+    def test_any_pmf_against_direct_sum(self):
+        # neither binomial nor Poisson-Binomial: a zero inside, mass at both ends
+        pmf = [0.1, 0.0, 0.45, 0.05, 0.15, 0.25]
+        for y in (0.1, 0.5, 0.93):
+            assert expected_inverse_tail(pmf, y) == pytest.approx(self.oracle(pmf, y), rel=1e-12)
+
     def test_enumeration_cap(self):
         with pytest.raises(ValueError):
-            expected_inverse_tail_pb([0.5] * 31, 0.5)
+            expected_inverse_tail(pb_pmf([0.5] * 31), 0.5)
+        assert expected_inverse_tail(pb_pmf([0.5] * 30), 0.5) > 1.0
+
+    @pytest.mark.parametrize("pmf", [[], np.full(32, 1 / 32)], ids=["empty", "32_entries"])
+    def test_rejects_pmf_length(self, pmf):
+        with pytest.raises(ValueError, match="exact enumeration"):
+            expected_inverse_tail(pmf, 0.5)
+
+    @pytest.mark.parametrize("threshold", [0.0, 1.0])
+    def test_rejects_threshold_at_the_ends(self, threshold):
+        with pytest.raises(ValueError, match="threshold"):
+            expected_inverse_tail(binomial_pmf(3, 0.5), threshold)

@@ -50,3 +50,5 @@ class TestLemmaChain:
         check = _lemma_chain_check(np.random.default_rng(20240601), vectors_per_j=10)
         assert check.passed
         assert check.worst.hex() == "0x1.4c4b92b073d40p-53"
+        # and the comparison it occurs at, as the detail text names it
+        assert check.detail == "worst margin at j=1 y=0.4 (pb vs mean)"
