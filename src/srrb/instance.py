@@ -105,10 +105,10 @@ class Instance:
 
     def expected_reward(self, i: int, n: int) -> float:
         """mu_i(n), the expected reward of arm i at its n-th pull."""
+        if 0 <= i < len(self._arms) and 1 <= n <= self._horizon:
+            return self._mus.item(i, n - 1)
         self._check_arm(i)
-        if not 1 <= n <= self._horizon:
-            raise ValueError(f"pull count must be in [1, {self._horizon}], got {n}")
-        return float(self._mus[i, n - 1])
+        raise ValueError(f"pull count must be in [1, {self._horizon}], got {n}")
 
     def expected_rewards(self, i: int) -> np.ndarray:
         """Read-only vector of mu_i(1..T)."""

@@ -7,7 +7,10 @@ share the same protocol: ``select_arm(t)`` then ``update(arm, reward, t)``,
 with rounds numbered from 1 and strictly sequential.  Window statistics
 over the last ``window`` rounds are kept in a ring of past pulls with O(1)
 eviction, so an update costs O(1) and a selection O(K), regardless of the
-window length.
+window length.  Counts and sums are Python scalars, summed bit for bit
+as numpy would.  Each kind caches two index inputs per arm; ``update``
+refreshes them for the pulled and the evicted arm only.  A kind is one
+``_KINDS`` row, an ``_index`` and a ``_refresh``.
 """
 
 from __future__ import annotations
@@ -172,26 +175,32 @@ class Policy:
         self.param = None if param is None else getattr(config, param)
         self.rng = rng
         self._ring: list[tuple[int, float]] = []
-        self._counts = np.zeros(num_arms, dtype=np.int64)
-        self._sums = np.zeros(num_arms)
+        self._counts = [0] * num_arms
+        self._sums = [0.0] * num_arms
+        self._p = np.ones(num_arms)  # the kind's per-arm index inputs (Beta(1, 1) if empty)
+        self._q = np.ones(num_arms)
         self._empty = num_arms
         self._rounds_done = 0
 
+    def window_lists(self) -> tuple[list[int], list[float]]:
+        """The live window count and sum lists; only ``update`` changes them."""
+        return self._counts, self._sums
+
     @property
     def window_counts(self) -> np.ndarray:
-        return self._counts.copy()
+        return np.array(self._counts, dtype=np.int64)
 
     @property
     def window_sums(self) -> np.ndarray:
-        return self._sums.copy()
+        return np.array(self._sums)
 
     def _check_round(self, t: int) -> None:
-        if t != self._rounds_done + 1:
-            raise ValueError(
-                f"rounds must be sequential: expected {self._rounds_done + 1}, got {t}"
-            )
-        if t > self.horizon:
-            raise ValueError(f"round {t} past the horizon {self.horizon}")
+        expected = self._rounds_done + 1
+        if t == expected <= self.horizon:
+            return
+        if t != expected:
+            raise ValueError(f"rounds must be sequential: expected {expected}, got {t}")
+        raise ValueError(f"round {t} past the horizon {self.horizon}")
 
     def _argmax_with_ties(self, values: np.ndarray) -> int:
         """Index of the maximum; only a tie draws (uniformly) from the rng."""
@@ -208,33 +217,40 @@ class Policy:
         if t <= self.num_arms * self.forced_pulls:
             return (t - 1) % self.num_arms
         if self._empty and self.pulls_empty_arms:
-            return int(np.flatnonzero(self._counts == 0)[0])
+            return self._counts.index(0)
         return self._argmax_with_ties(self._index(t))
 
     def _index(self, t: int) -> np.ndarray:
-        """Per-arm selection values at round t."""
+        """Per-arm selection values at round t, from ``_p`` and ``_q``; a
+        kind's ``_refresh(arm)`` recomputes both from the arm's window."""
         raise NotImplementedError
 
     def update(self, arm: int, reward: float, t: int) -> None:
         self._check_round(t)
         if not 0 <= arm < self.num_arms:
             raise IndexError(f"arm index {arm} out of range")
+        if not math.isfinite(reward):
+            raise ValueError(f"rewards must be finite, got {reward}")
+        reward = float(reward)
         counts, sums = self._counts, self._sums
-        if counts[arm] == 0:
+        if not counts[arm]:
             self._empty -= 1
         counts[arm] += 1
         sums[arm] += reward
         self._rounds_done = t
         if t <= self.window:
             self._ring.append((arm, reward))
-            return
-        slot = (t - 1) % self.window
-        old_arm, old_reward = self._ring[slot]
-        self._ring[slot] = (arm, reward)
-        counts[old_arm] -= 1
-        sums[old_arm] -= old_reward
-        if counts[old_arm] == 0:
-            self._empty += 1
+        else:
+            slot = (t - 1) % self.window
+            old_arm, old_reward = self._ring[slot]
+            self._ring[slot] = (arm, reward)
+            counts[old_arm] -= 1
+            sums[old_arm] -= old_reward
+            if not counts[old_arm]:
+                self._empty += 1
+            if old_arm != arm:
+                self._refresh(old_arm)
+        self._refresh(arm)
 
 
 class BetaSlidingWindowTS(Policy):
@@ -248,13 +264,17 @@ class BetaSlidingWindowTS(Policy):
     pulls_empty_arms = False
 
     def _index(self, t: int) -> np.ndarray:
-        counts, sums = self._counts, self._sums
-        return self.rng.beta(sums + 1.0, counts - sums + 1.0)
+        return self.rng.beta(self._p, self._q)
 
     def update(self, arm: int, reward: float, t: int) -> None:
         if reward != 0.0 and reward != 1.0:
             raise ValueError(f"Beta posteriors require rewards in {{0, 1}}, got {reward}")
         super().update(arm, reward, t)
+
+    def _refresh(self, arm: int) -> None:
+        s = self._sums[arm]
+        self._p[arm] = s + 1.0
+        self._q[arm] = self._counts[arm] - s + 1.0
 
 
 class GaussianSlidingWindowTS(Policy):
@@ -262,11 +282,14 @@ class GaussianSlidingWindowTS(Policy):
     windowed statistics, scale = ``precision_scale``."""
 
     def _index(self, t: int) -> np.ndarray:
-        counts = self._counts
-        means = self._sums / counts
-        scales = np.sqrt(1.0 / (self.param * counts))
         # bit-identical to rng.normal(means, scales) at a fraction of its cost
-        return means + scales * self.rng.standard_normal(self.num_arms)
+        return self._p + self._q * self.rng.standard_normal(self.num_arms)
+
+    def _refresh(self, arm: int) -> None:
+        n = self._counts[arm]
+        if n:  # an empty window is pulled outright, its inputs never read
+            self._p[arm] = self._sums[arm] / n
+            self._q[arm] = math.sqrt(1.0 / (self.param * n))
 
 
 class SlidingWindowUCB(Policy):
@@ -279,8 +302,13 @@ class SlidingWindowUCB(Policy):
     """
 
     def _index(self, t: int) -> np.ndarray:
-        counts = self._counts
-        return self._sums / counts + np.sqrt(self.param * math.log(min(t, self.window)) / counts)
+        return self._p + np.sqrt(self.param * math.log(min(t, self.window)) / self._q)
+
+    def _refresh(self, arm: int) -> None:
+        n = self._counts[arm]
+        if n:  # an empty window is pulled outright, its inputs never read
+            self._p[arm] = self._sums[arm] / n
+            self._q[arm] = n
 
 
 class _Kind(NamedTuple):
@@ -298,7 +326,7 @@ def _full_horizon(horizon: int) -> int:
     return horizon
 
 
-# every policy kind: a new kind is one row here plus one ``_index``
+# every policy kind: a new kind is one row here plus ``_index`` and ``_refresh``
 _KINDS = {
     "beta_swts": _Kind(BetaSlidingWindowTS, None, None, _full_horizon),
     "gauss_swgts": _Kind(

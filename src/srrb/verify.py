@@ -286,13 +286,15 @@ def windows_suite(traces: int = 100) -> SuiteResult:
             np.random.default_rng(_WINDOWS_SEED + trace),
         )
         counts_oracle, sums_oracle = recount_window_stats(pulls, rewards, num_arms, window)
-        # row t - 1 holds the policy's statistics after the update of round t
+        # row t - 1 holds the statistics after round t, copied from the live
+        # lists: an ndarray snapshot per round would cost more than the update
         counts = np.empty((horizon, num_arms), dtype=counts_oracle.dtype)
         sums = np.empty((horizon, num_arms))
+        live_counts, live_sums = policy.window_lists()
         for t, (arm, reward) in enumerate(zip(pulls.tolist(), rewards.tolist()), start=1):
             policy.update(arm, reward, t)
-            counts[t - 1] = policy.window_counts
-            sums[t - 1] = policy.window_sums
+            counts[t - 1] = live_counts
+            sums[t - 1] = live_sums
         checked += horizon
         bad = (counts != counts_oracle[1:]).any(axis=1) | (sums != sums_oracle[1:]).any(axis=1)
         mismatches += int(bad.sum())

@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 
 from srrb.analytics import pseudo_regret, wald_regret_bound
-from srrb.curves import BernoulliLaw, BoundedUniformLaw, ConstantCurve, TabulatedCurve
+from srrb.curves import (
+    BernoulliLaw,
+    BoundedUniformLaw,
+    ConstantCurve,
+    ExponentialCurve,
+    LinearCappedCurve,
+    TabulatedCurve,
+)
 from srrb.cli import main
 from srrb.harness import child_seed, evaluation_grid, run_batch, run_single, sweep
 from srrb.instance import Arm, Instance
@@ -179,6 +186,48 @@ class TestRunSingle:
         for seed in range(10):
             record = run_single(inst, PolicyConfig(kind="ucb1"), seed=seed)
             assert record.final_regret <= wald_regret_bound(inst, record.pull_counts) + 1e-9
+
+
+# (final regret bits, lifetime pulls per arm) for each kind at two seeds
+PINNED_RUNS = {
+    ("beta_swts", 3): ("0x1.04a0744484e17p+7", [84, 45, 371]),
+    ("beta_swts", 11): ("0x1.fc084362e2798p+6", [58, 43, 399]),
+    ("gauss_swgts", 3): ("0x1.04d7272a41a6bp+7", [77, 46, 377]),
+    ("gauss_swgts", 11): ("0x1.10a0fe36dfc21p+7", [95, 58, 347]),
+    ("ucb1", 3): ("0x1.10d887f2b8b79p+7", [134, 64, 302]),
+    ("ucb1", 11): ("0x1.0dedb8b899d94p+7", [166, 72, 262]),
+    ("sw_ucb", 3): ("0x1.117fe53d98cd2p+7", [117, 61, 322]),
+    ("sw_ucb", 11): ("0x1.1235fc9f55f45p+7", [145, 69, 286]),
+}
+PINNED_FIELDS = {
+    "beta_swts": {"window": 40, "forced_pulls": 1},
+    "gauss_swgts": {"window": 60, "forced_pulls": 1},
+    "ucb1": {"window": 80},
+    "sw_ucb": {"window": 30},
+}
+
+
+@pytest.mark.parametrize("kind, seed", list(PINNED_RUNS))
+def test_run_single_pinned(kind, seed):
+    """``run_single`` on a fixed three-arm Bernoulli instance, with windows
+    that evict, pinned to the bits of its final regret and its pull counts.
+
+    A change to the round loop that keeps every random draw leaves these
+    as they are.  A change of random streams, such as a lockstep batched
+    engine, re-records them and names the stream change in CHANGES.md.
+    """
+    inst = Instance(
+        [
+            Arm(ExponentialCurve(c=0.9, a=0.01), BernoulliLaw()),
+            Arm(LinearCappedCurve(slope=0.002, cap=0.6), BernoulliLaw()),
+            Arm(ConstantCurve(0.55), BernoulliLaw()),
+        ],
+        500,
+    )
+    record = run_single(inst, PolicyConfig(kind=kind, **PINNED_FIELDS[kind]), seed=seed)
+    regret_hex, pull_counts = PINNED_RUNS[kind, seed]
+    assert record.final_regret.hex() == regret_hex
+    assert record.pull_counts.tolist() == pull_counts
 
 
 class TestRunBatch:

@@ -1,6 +1,7 @@
 """Policy behavior: forced exploration, window bookkeeping, posterior
 selection, baselines, and determinism."""
 
+import copy
 import math
 from collections import deque
 
@@ -224,6 +225,13 @@ class TestGaussianSelection:
         policy.update(0, 0.731, 1)
         assert policy.window_sums[0] == pytest.approx(0.731)
 
+    def test_float32_rewards_sum_in_double_precision(self):
+        # a float32 added to a Python float would stay float32
+        policy = build("gauss_swgts", 2, 10)
+        for t in range(1, 4):
+            policy.update(0, np.float32(0.1), t)
+        assert policy.window_sums[0] == 0.30000000447034836
+
 
 class TestWindowAccounting:
     def test_gap_window_example(self):
@@ -270,8 +278,26 @@ class TestWindowAccounting:
         policy = build("beta_swts", 2, 2)
         policy.update(0, 1.0, 1)
         policy.update(0, 1.0, 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="past the horizon 2"):
             policy.select_arm(3)
+        with pytest.raises(ValueError, match="sequential: expected 3, got 4"):
+            policy.select_arm(4)
+
+    @pytest.mark.parametrize("reward", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("kind", POLICY_KINDS)
+    def test_non_finite_reward_rejected_before_any_state_changes(self, kind, reward):
+        # a NaN would stay in the arm's window sum for good
+        policy = build(kind, 2, 10, window=2)
+        policy.update(0, 1.0, 1)
+        policy.update(1, 0.0, 2)
+        counts, sums = policy.window_counts, policy.window_sums
+        with pytest.raises(ValueError):
+            policy.update(0, reward, 3)
+        np.testing.assert_array_equal(policy.window_counts, counts)
+        assert policy.window_sums.tobytes() == sums.tobytes()
+        assert policy._rounds_done == 2
+        policy.update(0, 1.0, 3)  # the same round then goes through, evicting round 1
+        np.testing.assert_array_equal(policy.window_counts, [1, 1])
 
 
 class TestBaselines:
@@ -493,3 +519,60 @@ class TestRingMatchesDequeOracle:
                 if (counts == 0).any():
                     assert arm == int(np.flatnonzero(counts == 0)[0])
                 policy.update(arm, 1.0, t)
+
+
+def _whole_array_index(kind, policy, t, generator):
+    """The selection values by the whole-array formulas the per-arm cache
+    replaced, recomputed from the public window statistics; entries of
+    empty windows are meaningless for the kinds that never read them."""
+    counts, sums = policy.window_counts, policy.window_sums
+    if kind == "beta_swts":
+        return generator.beta(sums + 1.0, counts - sums + 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if kind == "gauss_swgts":
+            means = sums / counts
+            scales = np.sqrt(1.0 / (policy.param * counts))
+            return means + scales * generator.standard_normal(policy.num_arms)
+        bonus = np.sqrt(policy.param * math.log(min(t, policy.window)) / counts)
+        return sums / counts + bonus
+
+
+class TestIndexCache:
+    """Each kind caches two index inputs per arm and refreshes them for the
+    pulled and the evicted arm only; after every update its index must
+    equal the whole-array formula bit for bit, on copies of one generator
+    state.  Window 1 over one arm evicts the pulled arm every round; window
+    7 over 15 arms empties and refills windows all the time.  Integer
+    parameters stay ``int`` in the config and must give the same bits."""
+
+    HORIZON = 200
+
+    @pytest.mark.parametrize("forced", [0, 1])
+    @pytest.mark.parametrize("num_arms, window", [(1, 1), (3, 1), (15, 7), (4, 40)])
+    @pytest.mark.parametrize(
+        "kind, param",
+        [
+            ("beta_swts", None),
+            ("gauss_swgts", 0.7),
+            ("gauss_swgts", 1),
+            ("ucb1", 2.0),
+            ("sw_ucb", 0.6),
+            ("sw_ucb", 1),
+        ],
+    )
+    def test_index_matches_whole_array_formula(self, kind, param, num_arms, window, forced):
+        params = {} if param is None else {PARAM_FIELDS[kind]: param}
+        policy = build(kind, num_arms, self.HORIZON, window, forced, seed=window, **params)
+        assert policy.param == param and type(policy.param) is type(param)
+        reward_rng = rng(num_arms)
+        for t in range(1, self.HORIZON):
+            arm = policy.select_arm(t)
+            reward = reward_rng.random()
+            policy.update(arm, float(reward < 0.5) if kind == "beta_swts" else reward, t)
+            read = policy.window_counts > 0 if policy.pulls_empty_arms else slice(None)
+            oracle_rng = copy.deepcopy(policy.rng)
+            state = policy.rng.bit_generator.state
+            cached = policy._index(t + 1)
+            policy.rng.bit_generator.state = state
+            recomputed = _whole_array_index(kind, policy, t + 1, oracle_rng)
+            assert cached[read].tobytes() == recomputed[read].tobytes(), f"round {t}"
