@@ -10,8 +10,11 @@ both roots' ``srrb`` under their own names and, pair by pair, times each
 side in process: ``run_single`` per policy kind and arm count (K = 2, 15,
 100 on ``random_rising_instance(10_000, K, seed=3)``, runs seeded 0 and
 1, the policies of the ``run_k15`` workload) and ``windows_suite()``.
-The base goes first in even pairs and the change first in odd ones,
-reading by reading, so drift of the machine's speed cannot favour a side.
+Each reading is scaled to perfbench's reference speed by the calibration
+loop of ``perfbench/timed.py``, read just before and just after it, as
+``perfbench/run.py`` scales its times.  The base goes first in even
+pairs and the change first in odd ones, reading by reading, so drift of
+the machine's speed cannot favour a side.
 Then each pair of each workload runs ``python3 perfbench/run.py
 --workload W --seed 6 --seconds 38 --trace 0`` in each root, alternating
 the same way.  Both parts take ten pairs.  The output gives every
@@ -34,6 +37,10 @@ from pathlib import Path
 from time import perf_counter
 
 import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from run import REFERENCE_LOOP_S  # noqa: E402
+from timed import reading  # noqa: E402
 
 HORIZON = 10_000
 ARMS = (2, 15, 100)
@@ -62,24 +69,39 @@ def load_srrb(root: Path, name: str):
     return module
 
 
+def scaled(wall: float, before: dict, after: dict) -> float:
+    """``wall`` seconds at perfbench's reference speed, given the
+    calibration readings taken just before and just after them."""
+    return wall * REFERENCE_LOOP_S / ((before["loop_s"] + after["loop_s"]) / 2)
+
+
+def at_reference_speed(work) -> float:
+    """Seconds ``work()`` takes, scaled to perfbench's reference speed."""
+    before = reading()
+    start = perf_counter()
+    work()
+    wall = perf_counter() - start
+    return scaled(wall, before, reading())
+
+
 def round_loop_timer(srrb):
     """A function taking one reading of a round-loop metric by its name."""
     instances = {f"k{k}": srrb.random_rising_instance(HORIZON, num_arms=k, seed=3) for k in ARMS}
     configs = {spec["kind"]: srrb.PolicyConfig(**spec) for spec in POLICIES}
     windows_suite = importlib.import_module(f"{srrb.__name__}.verify").windows_suite
 
-    def reading(name: str) -> float:
+    def one(name: str) -> float:
         if name == "windows_s":
-            start = perf_counter()
-            windows_suite()
-            return perf_counter() - start
+            return at_reference_speed(windows_suite)
         _, kind, k = name.split(".")
-        start = perf_counter()
-        for seed in range(RUNS):
-            srrb.run_single(instances[k], configs[kind], seed=seed, record_pulls=False)
-        return (perf_counter() - start) / RUNS / HORIZON * 1e6
 
-    return reading
+        def runs():
+            for seed in range(RUNS):
+                srrb.run_single(instances[k], configs[kind], seed=seed, record_pulls=False)
+
+        return at_reference_speed(runs) / RUNS / HORIZON * 1e6
+
+    return one
 
 
 ROUND_METRICS = [f"round_us.{spec['kind']}.k{k}" for k in ARMS for spec in POLICIES]
@@ -99,8 +121,8 @@ def describe(root: Path) -> str:
                           check=True, capture_output=True, text=True).stdout.strip()
 
 
-def run_e2e(root: Path, workload: str) -> dict:
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
+def run_e2e(root: Path, workload: str, seed: int) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", "38", "--trace", "0"]
     proc = subprocess.run(cmd, cwd=root, check=True, capture_output=True, text=True)
     result = json.loads(proc.stdout.strip().splitlines()[-1])
@@ -109,13 +131,13 @@ def run_e2e(root: Path, workload: str) -> dict:
     return {name: metric["value"] for name, metric in result["metrics"].items()}
 
 
-def paired(steps, measure) -> dict:
-    """``PAIRS`` readings per side of every metric: ``measure(side, step)``
+def paired(steps, measure, pairs: int = PAIRS) -> dict:
+    """``pairs`` readings per side of every metric: ``measure(side, step)``
     returns a dict of metrics, and the sides alternate step by step, the
     base first in even pairs.  Per metric: each side's quartiles, the
     ratio of the medians and the change's wins."""
     readings = {"base": {}, "change": {}}
-    for i in range(PAIRS):
+    for i in range(pairs):
         for step in steps:
             for side in ("base", "change") if i % 2 == 0 else ("change", "base"):
                 for name, value in measure(side, step).items():
@@ -134,9 +156,27 @@ def paired(steps, measure) -> dict:
             "median_gap_over_base_iqr": abs(change_q[1] - base_q[1]) / (base_q[2] - base_q[0])
             if base_q[2] > base_q[0] else None,
             "change_wins": sum((c > b) if higher else (c < b) for b, c in zip(base, change)),
-            "pairs": PAIRS,
+            "pairs": pairs,
         }
     return {"summary": summary, "readings": readings}
+
+
+def header(roots: dict) -> dict:
+    """The box, both commits and the command line of a paired run."""
+    return {
+        "box": {"cpu": cpu_model(), "cpus": os.cpu_count(), "platform": platform.platform(),
+                "python": platform.python_version(), "numpy": np.__version__},
+        "commits": {side: describe(root) for side, root in roots.items()},
+        "command": shlex.join(["python3", *sys.argv]),
+    }
+
+
+def write(doc: dict, out: Path | None) -> None:
+    text = json.dumps(doc, indent=1)
+    if out:
+        out.write_text(text + "\n", encoding="utf-8")
+    else:
+        print(text)
 
 
 def main() -> None:
@@ -146,12 +186,7 @@ def main() -> None:
     parser.add_argument("--out", type=Path)
     args = parser.parse_args()
     roots = {"base": args.base.resolve(), "change": args.change.resolve()}
-    doc = {
-        "box": {"cpu": cpu_model(), "cpus": os.cpu_count(), "platform": platform.platform(),
-                "python": platform.python_version(), "numpy": np.__version__},
-        "commits": {side: describe(root) for side, root in roots.items()},
-        "command": shlex.join(["python3", *sys.argv]),
-    }
+    doc = header(roots)
     timers = {side: round_loop_timer(load_srrb(root, f"srrb_{side}"))
               for side, root in roots.items()}
     doc["round_loop"] = paired([*ROUND_METRICS, "windows_s"],
@@ -159,13 +194,9 @@ def main() -> None:
     for workload in E2E:
         doc[f"e2e.{workload}"] = {
             "seed": SEED,
-            **paired([workload], lambda side, wl: run_e2e(roots[side], wl)),
+            **paired([workload], lambda side, wl: run_e2e(roots[side], wl, SEED)),
         }
-    text = json.dumps(doc, indent=1)
-    if args.out:
-        args.out.write_text(text + "\n", encoding="utf-8")
-    else:
-        print(text)
+    write(doc, args.out)
 
 
 if __name__ == "__main__":

@@ -1,103 +1,82 @@
 """Rising rested bandits: Thompson-sampling policies, instance analytics,
-distribution numerics, and a reproducible experiment harness."""
+distribution numerics, and a reproducible experiment harness.
+
+The names below are exported lazily: ``import srrb`` loads no submodule,
+and the first access to a name (``srrb.Instance``, or ``from srrb import
+Instance``) imports the submodule that owns it and caches the name here.
+So a CLI subcommand loads only the layers it runs.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .curves import (
-    BernoulliLaw,
-    BoundedUniformLaw,
-    ConstantCurve,
-    ExponentialCurve,
-    LinearCappedCurve,
-    PolynomialCurve,
-    RewardCurve,
-    RewardLaw,
-    TabulatedCurve,
-)
-from .instance import Arm, Instance, InvalidInstanceError
-from .analytics import (
-    AnalysisReport,
-    BoundTerms,
-    SigmaReport,
-    WindowedSigmaReport,
-    build_report,
-    gaps,
-    growth_index,
-    pseudo_regret,
-    pull_bound_terms,
-    sigma_complexity,
-    wald_regret_bound,
-    windowed_sigma_complexity,
-)
-from .constructions import (
-    LowerBoundPair,
-    lower_bound_instances,
-    persistent_gap_pair,
-    random_rising_instance,
-    vanishing_gap_pair,
-)
-from .policies import (
-    Policy,
-    PolicyConfig,
-    default_precision_scale,
-    default_sw_window,
-    make_policy,
-)
-from .harness import (
-    Aggregate,
-    RunRecord,
-    SweepPoint,
-    child_seed,
-    evaluation_grid,
-    run_batch,
-    run_batches,
-    run_single,
-    sweep,
-)
+# submodule -> the names it exports through the package
+_EXPORTS = {
+    "instance": ("Arm", "Instance", "InvalidInstanceError"),
+    "curves": (
+        "RewardCurve",
+        "RewardLaw",
+        "ExponentialCurve",
+        "PolynomialCurve",
+        "LinearCappedCurve",
+        "ConstantCurve",
+        "TabulatedCurve",
+        "BernoulliLaw",
+        "BoundedUniformLaw",
+    ),
+    "analytics": (
+        "AnalysisReport",
+        "BoundTerms",
+        "SigmaReport",
+        "WindowedSigmaReport",
+        "build_report",
+        "gaps",
+        "growth_index",
+        "pseudo_regret",
+        "pull_bound_terms",
+        "sigma_complexity",
+        "wald_regret_bound",
+        "windowed_sigma_complexity",
+    ),
+    "constructions": (
+        "LowerBoundPair",
+        "lower_bound_instances",
+        "vanishing_gap_pair",
+        "persistent_gap_pair",
+        "random_rising_instance",
+    ),
+    "policies": (
+        "Policy",
+        "PolicyConfig",
+        "make_policy",
+        "default_precision_scale",
+        "default_sw_window",
+    ),
+    "harness": (
+        "RunRecord",
+        "Aggregate",
+        "SweepPoint",
+        "run_single",
+        "run_batch",
+        "run_batches",
+        "sweep",
+        "child_seed",
+        "evaluation_grid",
+    ),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "__version__",
-    "Arm",
-    "Instance",
-    "InvalidInstanceError",
-    "RewardCurve",
-    "RewardLaw",
-    "ExponentialCurve",
-    "PolynomialCurve",
-    "LinearCappedCurve",
-    "ConstantCurve",
-    "TabulatedCurve",
-    "BernoulliLaw",
-    "BoundedUniformLaw",
-    "AnalysisReport",
-    "BoundTerms",
-    "SigmaReport",
-    "WindowedSigmaReport",
-    "build_report",
-    "gaps",
-    "growth_index",
-    "pseudo_regret",
-    "pull_bound_terms",
-    "sigma_complexity",
-    "wald_regret_bound",
-    "windowed_sigma_complexity",
-    "LowerBoundPair",
-    "lower_bound_instances",
-    "vanishing_gap_pair",
-    "persistent_gap_pair",
-    "random_rising_instance",
-    "Policy",
-    "PolicyConfig",
-    "make_policy",
-    "default_precision_scale",
-    "default_sw_window",
-    "RunRecord",
-    "Aggregate",
-    "SweepPoint",
-    "run_single",
-    "run_batch",
-    "run_batches",
-    "sweep",
-    "child_seed",
-    "evaluation_grid",
-]
+__all__ = ["__version__", *_OWNER]
+
+
+def __getattr__(name: str):
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_OWNER[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

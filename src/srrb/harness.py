@@ -8,7 +8,6 @@ batch is bit-for-bit reproducible at any parallelism level.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -195,6 +194,9 @@ def run_batches(
     if workers <= 1:
         records = [_checked_run(instance, stride, *task) for task in tasks]
     else:
+        # imported here, so that a serial call never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker, initargs=(instance, stride)
         ) as pool:

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import srrb
-from srrb.cli import main
+from srrb.cli import build_parser, main
 from srrb.instance import Instance
 
 
@@ -557,7 +557,6 @@ class TestOutPath:
         def no_runs(*args, **kwargs):
             pytest.fail("simulation started before --out was checked")
 
-        monkeypatch.setattr("srrb.cli.run_batches", no_runs)
         monkeypatch.setattr("srrb.harness.run_batches", no_runs)
         blocker = tmp_path / "blocker"
         blocker.write_text("keep")
@@ -591,6 +590,14 @@ class TestVerify:
         output = capsys.readouterr().out
         assert "[PASS]" in output
         assert "[FAIL]" not in output
+
+    def test_suite_choices_are_the_suites(self):
+        # the parser names the suites without importing srrb.verify
+        from srrb.verify import SUITES
+
+        commands = next(a for a in build_parser()._actions if a.dest == "command")
+        suite = next(a for a in commands.choices["verify"]._actions if a.dest == "suite")
+        assert suite.choices == sorted(SUITES) + ["all"]
 
 
 class TestLowerBound:

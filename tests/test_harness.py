@@ -362,16 +362,17 @@ class TestSweep:
 @pytest.fixture
 def pools(monkeypatch):
     """The max_workers of every process pool the harness starts."""
-    import srrb.harness
+    import concurrent.futures
 
     started = []
 
-    class CountingPool(srrb.harness.ProcessPoolExecutor):
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             started.append(kwargs.get("max_workers"))
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(srrb.harness, "ProcessPoolExecutor", CountingPool)
+    # run_batches looks the class up here when it starts a pool
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     return started
 
 

@@ -1,0 +1,98 @@
+"""Start-up cost: the package exports its names lazily, and each CLI
+subcommand loads only the layers it runs.
+
+The import checks run in fresh interpreters, since this process has
+already imported every submodule.
+"""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import srrb
+
+
+def _fresh(code: str, *argv: str):
+    """Run ``code`` in a fresh interpreter that imports this checkout's
+    srrb; returns the JSON its last line of standard output prints."""
+    src = str(Path(srrb.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestLazyExports:
+    def test_every_export_is_its_submodules_object(self):
+        for module, names in srrb._EXPORTS.items():
+            owner = importlib.import_module(f"srrb.{module}")
+            for name in names:
+                assert getattr(srrb, name) is getattr(owner, name), name
+
+    def test_bare_import_loads_no_submodule(self):
+        loaded = _fresh("import json, sys, srrb; print(json.dumps(sorted(sys.modules)))")
+        assert [m for m in loaded if m.startswith("srrb.")] == []
+
+    def test_dir_covers_all(self):
+        listed = _fresh("import json, srrb; print(json.dumps(dir(srrb)))")
+        assert set(srrb.__all__) <= set(listed)
+
+    def test_unknown_name_raises_attribute_error_naming_it(self):
+        with pytest.raises(AttributeError, match="'no_such_name'"):
+            srrb.no_such_name
+
+    def test_star_import(self):
+        namespace = {}
+        exec("from srrb import *", namespace)
+        assert all(namespace[name] is getattr(srrb, name) for name in srrb.__all__)
+
+
+# runs srrb.cli.main on its arguments, then prints the exit code and the
+# loaded modules
+_CLI_PROBE = """
+import json, sys
+from srrb.cli import main
+code = main(sys.argv[1:])
+print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+"""
+
+_INSTANCE = {
+    "horizon": 50,
+    "arms": [
+        {"family": "constant", "params": {"value": 0.6}, "law": "bernoulli"},
+        {"family": "constant", "params": {"value": 0.5}, "law": "bernoulli"},
+    ],
+}
+
+
+class TestSubcommandImports:
+    @pytest.mark.parametrize("command, runs, absent", [
+        ("analyze", "srrb.analytics",
+         ["srrb.harness", "srrb.policies", "srrb.verify", "srrb.constructions", "multiprocessing"]),
+        ("run", "srrb.harness",
+         ["srrb.verify", "srrb.constructions", "concurrent.futures.process", "multiprocessing"]),
+        ("verify", "srrb.verify", ["srrb.harness", "srrb.analytics", "srrb.constructions"]),
+    ])
+    def test_loads_only_its_layers(self, tmp_path, command, runs, absent):
+        instance = tmp_path / "instance.json"
+        instance.write_text(json.dumps(_INSTANCE))
+        config = tmp_path / "experiment.json"
+        config.write_text(json.dumps({"instance": _INSTANCE, "runs": 2,
+                                      "policies": [{"kind": "beta_swts"}]}))
+        argv = {
+            "analyze": ["analyze", str(instance)],
+            "run": ["run", "--config", str(config), "--out", str(tmp_path / "o"),
+                    "--threads", "1"],
+            "verify": ["verify", "--suite", "identities"],
+        }[command]
+        result = _fresh(_CLI_PROBE, *argv)
+        assert result["code"] == 0
+        assert runs in result["modules"]
+        assert [m for m in absent if m in result["modules"]] == []
