@@ -2,21 +2,24 @@
 
 Everything here is a pure function of its inputs.  The binomial CDF and
 pmf are computed with a term recurrence anchored at the mode (no
-incomplete-beta machinery); for the pmf the recurrence runs as a
-sequential numpy cumulative product.  One function, ``_anchors``, chooses
-between a float and an exact integer anchor; ``binomial_pmfs`` walks the
-trial count upward and carries the exact anchor from one count to the
-next, which is how the total-variation term of the pull bounds gets its
-reference pmfs.  One prefix walk, ``_pb_prefix_pmfs``, runs the O(n^2)
-Poisson-Binomial convolution, and the Beta tail uses the discrete
-Beta-Binomial identity, so all routines stay in elementary arithmetic.
-The inverse-tail expectation, like the TV distance, takes its law as a
-pmf, so a caller builds each pmf once and reads it at many thresholds.
+incomplete-beta machinery), run as sequential numpy cumulative products.
+One function, ``_anchors``, chooses between a float and an exact integer
+anchor.  ``binomial_cdf`` and ``beta_tail`` broadcast over their
+arguments, and a scalar call is the one-element case of the same
+recurrence.  ``binomial_pmfs`` walks the trial count upward and carries
+the exact anchor from one count to the next, which is how the
+total-variation term of the pull bounds gets its reference pmfs.  One
+prefix walk, ``_pb_prefix_pmfs``, runs the O(n^2) Poisson-Binomial
+convolution, and the Beta tail uses the discrete Beta-Binomial identity,
+so all routines stay in elementary arithmetic.  The inverse-tail
+expectation, like the TV distance, takes its law as a pmf, so a caller
+builds each pmf once and reads it at many thresholds.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -64,9 +67,11 @@ def bernoulli_kl(x: float, y: float) -> float:
     return out
 
 
-def _binomial_mode(n: int, p: float) -> int:
-    mode = int(math.floor((n + 1) * p))
-    return min(max(mode, 0), n)
+def _binomial_mode(n, p):
+    """The mode floor((n + 1) p) of Binomial(n, p), 0 < p < 1, clipped to n,
+    as a float; n and p may be arrays."""
+    mode = (n + 1) * p // 1
+    return mode - (mode > n)
 
 
 def _dyadic(p: float) -> tuple[int, int, int]:
@@ -82,11 +87,9 @@ def _round_scaled(num: int, exp2: int) -> float:
     return math.ldexp(num >> shift, shift + exp2)
 
 
-def _anchors(
-    p: float, ns: Iterable[int], k: int | None = None
-) -> Iterator[tuple[int, int, float]]:
-    """(n, s, C(n,s) p^s (1-p)^(n-s)) for each n of ``ns``, 0 < p < 1, at
-    the mode s of Binomial(n, p), or at k where k is below the mode.
+def _anchors(p: float, points: Iterable[tuple[int, int]]) -> Iterator[float]:
+    """C(n,s) p^s (1-p)^(n-s) for each point (n, s) of ``points``, 0 < p < 1
+    and 0 <= s <= n; s is the mode of Binomial(n, p), or a k below it.
 
     Float arithmetic is used where it is safe: C(n,s) representable and no
     underflow in the powers.  Elsewhere p = ip * 2^e and 1 - p = iq * 2^e
@@ -98,12 +101,12 @@ def _anchors(
     an exact divide instead of being rebuilt from the powers: the same
     integer either way.
     """
+    log_p, log_q = math.log(p), math.log1p(-p)
     dyadic = num = last = None  # last is the point (n, s) whose exact integer num is
-    for n in ns:
-        s = _binomial_mode(n, p) if k is None else min(_binomial_mode(n, p), k)
-        if n <= 1000 and s * math.log(p) + (n - s) * math.log1p(-p) > -700.0:
+    for n, s in points:
+        if n <= 1000 and s * log_p + (n - s) * log_q > -700.0:
             last = None
-            yield n, s, math.comb(n, s) * math.pow(p, s) * math.pow(1.0 - p, n - s)
+            yield math.comb(n, s) * math.pow(p, s) * math.pow(1.0 - p, n - s)
             continue
         if dyadic is None:
             dyadic = _dyadic(p)
@@ -115,50 +118,118 @@ def _anchors(
         else:
             num = math.comb(n, s) * pow(ip, s) * pow(iq, n - s)
         last = (n, s)
-        yield n, s, _round_scaled(num, e * n)
+        yield _round_scaled(num, e * n)
 
 
-def binomial_cdf(n: int, p: float, k: int) -> float:
+# The most recurrence terms (rows x their largest k + 1) one block of an
+# array CDF holds at once.
+_BLOCK_TERMS = 1 << 12
+
+
+def binomial_cdf(n, p, k):
     """P(X <= k) for X ~ Binomial(n, p), with k = -1 allowed (gives 0).
 
-    Terms are generated by the pmf ratio recurrence moving away from the
-    mode, where they only decay, and summed with ``math.fsum``.
+    n, p and k broadcast against each other: scalars give a float, arrays
+    an array of their broadcast shape.  Each element's terms come from the
+    pmf ratio recurrence moving away from its anchor (the mode, or k where
+    k is below it), where they only decay; the walk keeps every term up to
+    and including the first one below anchor * 1e-22, and the terms are
+    summed with ``math.fsum``.  An array call evaluates the elements in
+    blocks of at most ``_BLOCK_TERMS`` terms.
     """
-    if n < 0:
+    n, p, k = np.broadcast_arrays(np.asarray(n), np.asarray(p, dtype=float), np.asarray(k))
+    if (n < 0).any():
         raise ValueError("n must be non-negative")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
-    if k < -1 or k > n:
-        raise ValueError(f"k must be in [-1, n], got {k}")
-    if k == -1:
-        return 0.0
-    if k == n:
-        return 1.0
-    if p == 0.0:
-        return 1.0
-    if p == 1.0:
-        return 0.0  # k < n here
+    bad = ~((0.0 <= p) & (p <= 1.0))
+    if bad.any():
+        raise ValueError(f"p must be in [0, 1], got {p[bad][0]}")
+    bad = (k < -1) | (k > n)
+    if bad.any():
+        raise ValueError(f"k must be in [-1, n], got {k[bad][0]}")
+    # k = -1 gives 0 and k = n gives 1; below n, p = 0 gives 1 and p = 1 gives 0
+    out = np.where((k == n) | ((k >= 0) & (p == 0.0)), 1.0, 0.0)
+    live = (0 <= k) & (k < n) & (0.0 < p) & (p < 1.0)
+    if live.any():
+        n, p, k = n[live], p[live], k[live]
+        s = np.minimum(_binomial_mode(n, p), k).astype(np.int64)
+        anchor = _distinct_anchors(n, p, s)
+        sums = np.empty(n.size)
+        # blocks of like k: from the narrowest row left, as many rows as fit
+        # _BLOCK_TERMS at the widest row that many would reach
+        order = np.argsort(k, kind="stable")
+        widths = (k[order] + 1).tolist()
+        lo = 0
+        while lo < order.size:
+            hi = min(lo + max(_BLOCK_TERMS // widths[lo], 1), order.size)
+            hi = lo + max(_BLOCK_TERMS // widths[hi - 1], 1)
+            block = order[lo:hi]
+            sums[block] = _cdf_block(n[block], p[block], k[block], s[block], anchor[block])
+            lo = hi
+        out[live] = sums
+    return float(out) if out.ndim == 0 else out
 
+
+def _distinct_anchors(n: np.ndarray, p: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The anchor of each point (n, p, s), from one ``_anchors`` value per
+    distinct point; each p's points go to ``_anchors`` in order of (n, s),
+    the order in which it carries an exact integer."""
+    order = np.lexsort((s, n, p))
+    n, p, s = n[order], p[order], s[order]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = (p[1:] != p[:-1]) | (n[1:] != n[:-1]) | (s[1:] != s[:-1])
+    points = zip(p[first].tolist(), n[first].tolist(), s[first].tolist())
+    values = []
+    for p_value, group in itertools.groupby(points, key=lambda point: point[0]):
+        values.extend(_anchors(p_value, ((n, s) for _, n, s in group)))
+    anchor = np.empty(order.size)
+    anchor[order] = np.array(values)[np.cumsum(first) - 1]
+    return anchor
+
+
+def _walk(anchor: np.ndarray, ratios: np.ndarray, steps: np.ndarray):
+    """Rows anchor, anchor * r_1, anchor * r_1 * r_2, ... of ratio walks,
+    and the mask of the terms each walk keeps.
+
+    ``ratios[i, j - 1]`` is the ratio of step j, which row i takes for
+    j <= ``steps[i]``.  ``np.multiply.accumulate`` multiplies strictly in
+    sequence, so each term is the product a term-by-term loop forms.  A row
+    keeps its anchor and its steps up to and including the first term below
+    anchor * 1e-22.
+    """
+    terms = np.empty((anchor.size, ratios.shape[1] + 1))
+    terms[:, 0] = anchor
+    terms[:, 1:] = ratios
+    np.multiply.accumulate(terms, axis=1, out=terms)
+    kept = np.arange(terms.shape[1]) <= steps[:, None]
+    below = terms[:, 1:-1] < (anchor * _TERM_CUTOFF)[:, None]
+    kept[:, 2:] &= ~np.logical_or.accumulate(below, axis=1)
+    return terms, kept
+
+
+def _cdf_block(n, p, k, s, anchor) -> np.ndarray:
+    """binomial_cdf of 0 < p < 1 and 0 <= k < n, elementwise, given the
+    anchor at s = min(mode, k).
+
+    Element i walks down from s to 0 in row 2i and up from s to k (no step
+    where k is at or below the mode) in row 2i + 1 of one walk matrix, so
+    its kept terms are contiguous in row-major order.
+    """
+    n, p, k, s = n[:, None], p[:, None], k[:, None], s[:, None]
     q = 1.0 - p
-    _, anchor_s, anchor = next(_anchors(p, (n,), k))
-
-    terms = [anchor]
-    # downward from the anchor: ratio pmf(s-1)/pmf(s) = s q / ((n-s+1) p)
-    t = anchor
-    for s in range(anchor_s, 0, -1):
-        t *= (s * q) / ((n - s + 1) * p)
-        terms.append(t)
-        if t < anchor * _TERM_CUTOFF:
-            break
-    # upward from the anchor to k (only entered when k is past the mode):
-    # ratio pmf(s+1)/pmf(s) = (n-s) p / ((s+1) q)
-    t = anchor
-    for s in range(anchor_s, k):
-        t *= ((n - s) * p) / ((s + 1) * q)
-        terms.append(t)
-        if t < anchor * _TERM_CUTOFF:
-            break
-    return min(math.fsum(terms), 1.0)
+    j = np.arange(int(np.maximum(s, k - s).max()))
+    ratios = np.empty((n.size, 2, j.size))
+    # ratio pmf(t-1)/pmf(t) = t q / ((n-t+1) p) at t = s, s-1, .., 1
+    t = s - j
+    ratios[:, 0] = np.where(t >= 1, (t * q) / ((n - t + 1) * p), 0.0)
+    # ratio pmf(t+1)/pmf(t) = (n-t) p / ((t+1) q) at t = s, s+1, .., k-1
+    t = s + j
+    ratios[:, 1] = np.where(t < k, ((n - t) * p) / ((t + 1) * q), 0.0)
+    terms, kept = _walk(np.repeat(anchor, 2), ratios.reshape(2 * n.size, j.size),
+                        np.hstack([s, k - s]).ravel())
+    kept[1::2, 0] = False  # the anchor once, in the downward row
+    terms = terms[kept].tolist()
+    ends = np.cumsum(kept.reshape(n.size, -1).sum(axis=1)).tolist()
+    return np.minimum([math.fsum(terms[a:b]) for a, b in zip([0, *ends], ends)], 1.0)
 
 
 def _degenerate_pmf(n: int, p: float) -> np.ndarray:
@@ -217,20 +288,23 @@ def binomial_pmfs(p: float, start: int, stop: int) -> Iterator[np.ndarray]:
         for j in range(start, stop):
             yield _degenerate_pmf(j, p)
         return
-    for j, mode, anchor in _anchors(p, range(start, stop)):
+    points = [(j, int(_binomial_mode(j, p))) for j in range(start, stop)]
+    for (j, mode), anchor in zip(points, _anchors(p, points)):
         yield _pmf_from_anchor(j, p, mode, anchor)
 
 
-def beta_tail(alpha: int, beta: int, y: float) -> float:
+def beta_tail(alpha, beta, y):
     """P(Beta(alpha, beta) > y) for integer alpha, beta >= 1.
 
     Uses the discrete identity with the binomial CDF, so no continuous
-    quadrature is involved.
+    quadrature is involved; broadcasts as :func:`binomial_cdf` does.
     """
-    if alpha < 1 or beta < 1:
+    alpha, beta, y = np.asarray(alpha), np.asarray(beta), np.asarray(y, dtype=float)
+    if (alpha < 1).any() or (beta < 1).any():
         raise ValueError("alpha and beta must be integers >= 1")
-    if not 0.0 <= y <= 1.0:
-        raise ValueError(f"y must be in [0, 1], got {y}")
+    bad = ~((0.0 <= y) & (y <= 1.0))
+    if bad.any():
+        raise ValueError(f"y must be in [0, 1], got {y[bad][0]}")
     return binomial_cdf(alpha + beta - 1, y, alpha - 1)
 
 
@@ -317,7 +391,7 @@ def roos_tv_bound(probs: Sequence[float], mu: float) -> float:
 @functools.lru_cache(maxsize=256)
 def _cdf_column(trials: int, p: float) -> np.ndarray:
     """Read-only vector of binomial_cdf(trials, p, s) for s = 0 .. trials - 1."""
-    cdf = np.array([binomial_cdf(trials, p, s) for s in range(trials)])
+    cdf = binomial_cdf(trials, p, np.arange(trials))
     cdf.setflags(write=False)
     return cdf
 

@@ -22,7 +22,6 @@ from .distmath import (
     roos_tv_bound,
     tv_distance,
 )
-from .policies import PolicyConfig, make_policy
 
 __all__ = [
     "CheckResult",
@@ -41,6 +40,17 @@ _WINDOWS_SEED = 77
 _WINDOWS_ARMS = 5
 _WINDOWS_HORIZON = 2000
 _WINDOWS = (1, 7, 64, 2000)
+# (alpha, beta) pairs the identities suite holds at once, at 19 thresholds
+# and 64 quadrature nodes each.
+_IDENTITY_PAIRS = 25
+# Rounds of recount rows the windows suite reads as Python lists at once.
+_WINDOWS_CHUNK = 250
+
+
+def _exceeds(value: float, worst: float) -> bool:
+    """Whether ``value`` replaces ``worst`` as the worst so far: it is
+    larger, or it is the first NaN (a NaN then stays the worst)."""
+    return value > worst or (math.isnan(value) and not math.isnan(worst))
 
 
 @dataclass
@@ -72,9 +82,9 @@ class SuiteResult:
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 
 
-def _beta_tail_quadrature(alpha: int, beta: int, ys: np.ndarray) -> np.ndarray:
-    """P(Beta(alpha, beta) > y) by Gauss-Legendre quadrature, vectorized
-    over thresholds.
+def _beta_tail_quadrature(alphas: np.ndarray, betas: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """P(Beta(alpha, beta) > y) by Gauss-Legendre quadrature: entry [i, j]
+    for the pair (alphas[i], betas[i]) and the threshold ys[j].
 
     The density is a polynomial of degree alpha + beta - 2, so a 64-node
     rule on [y, 1] is exact up to rounding for alpha + beta <= 128.
@@ -82,9 +92,14 @@ def _beta_tail_quadrature(alpha: int, beta: int, ys: np.ndarray) -> np.ndarray:
     half = 0.5 * (1.0 - ys)[:, None]
     x = half * (_GL_NODES + 1.0) + ys[:, None]
     w = half * _GL_WEIGHTS
-    log_norm = math.lgamma(alpha + beta) - math.lgamma(alpha) - math.lgamma(beta)
-    dens = np.exp(log_norm + (alpha - 1) * np.log(x) + (beta - 1) * np.log1p(-x))
-    return (w * dens).sum(axis=1)
+    log_norm = np.array([math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+                         for a, b in zip(alphas.tolist(), betas.tolist())])
+    dens = (alphas - 1)[:, None, None] * np.log(x)
+    dens += log_norm[:, None, None]
+    dens += (betas - 1)[:, None, None] * np.log1p(-x)
+    np.exp(dens, out=dens)
+    dens *= w
+    return dens.sum(axis=2)
 
 
 def identities_suite() -> SuiteResult:
@@ -95,15 +110,18 @@ def identities_suite() -> SuiteResult:
     worst = 0.0
     worst_at = ""
     ys = np.arange(0.05, 0.951, 0.05)
-    for alpha in range(1, 51):
-        for beta in range(1, 51):
-            oracle = _beta_tail_quadrature(alpha, beta, ys)
-            for y, rhs in zip(ys, oracle):
-                lhs = beta_tail(alpha, beta, float(y))
-                res = abs(lhs - rhs)
-                if res > worst:
-                    worst = res
-                    worst_at = f"alpha={alpha} beta={beta} y={y:.2f}"
+    alphas, betas = np.repeat(np.arange(1, 51), 50), np.tile(np.arange(1, 51), 50)
+    # blocks of (alpha, beta) pairs in loop order, each at every threshold:
+    # the worst is the first strict maximum in the order (alpha, beta, y)
+    for lo in range(0, alphas.size, _IDENTITY_PAIRS):
+        alpha, beta = alphas[lo : lo + _IDENTITY_PAIRS], betas[lo : lo + _IDENTITY_PAIRS]
+        oracle = _beta_tail_quadrature(alpha, beta, ys)
+        res = np.abs(beta_tail(alpha[:, None], beta[:, None], ys) - oracle)
+        at = int(np.argmax(res))
+        if _exceeds(res.flat[at], worst):
+            i, j = divmod(at, ys.size)
+            worst = float(res.flat[at])
+            worst_at = f"alpha={alpha[i]} beta={beta[i]} y={ys[j]:.2f}"
     suite.checks.append(
         CheckResult(
             "beta-tail identity vs quadrature",
@@ -113,11 +131,11 @@ def identities_suite() -> SuiteResult:
         )
     )
 
-    worst = 0.0
-    for j in range(0, 40):
-        for y in (0.1, 0.35, 0.6, 0.9):
-            res = abs(binomial_cdf(j + 1, y, 0) - (1.0 - y) ** (j + 1))
-            worst = max(worst, res)
+    trials = np.arange(1, 41)[:, None]
+    ys = np.array([0.1, 0.35, 0.6, 0.9])
+    # the closed form in Python float arithmetic, as the scalar check had it
+    closed = np.array([[(1.0 - y) ** j for y in ys.tolist()] for j in trials[:, 0].tolist()])
+    worst = float(np.max(np.abs(binomial_cdf(trials, ys, 0) - closed)))
     suite.checks.append(
         CheckResult("binomial cdf at zero equals (1-y)^(j+1)", worst, 1e-13)
     )
@@ -147,13 +165,13 @@ def _lemma_chain_check(rng: np.random.Generator, vectors_per_j: int = 200) -> Ch
                 e_pb = expected_inverse_tail(pb, float(y))
                 e_mean = expected_inverse_tail(mean_pmf, float(y))
                 rel = (e_pb - e_mean) / e_mean
-                if rel > worst:
+                if _exceeds(rel, worst):
                     worst, worst_at = rel, f"j={j} y={y:.1f} (pb vs mean)"
                 prev = e_mean
                 for frac, pmf in zip(fracs, frac_pmfs):
                     e_x = expected_inverse_tail(pmf, float(y))
                     rel = (prev - e_x) / e_x
-                    if rel > worst:
+                    if _exceeds(rel, worst):
                         worst, worst_at = rel, f"j={j} y={y:.1f} x={frac:.2f}*mean"
                     prev = e_x
     return CheckResult(
@@ -178,7 +196,8 @@ def _roos_dominance_check(rng: np.random.Generator, cases: int = 500) -> CheckRe
             mu = float(rng.uniform(0.05, 0.95))
         exact = tv_distance(pb_pmf(probs), binomial_pmf(n, mu))
         bound = roos_tv_bound(probs, mu)
-        worst = max(worst, exact - bound)
+        if _exceeds(exact - bound, worst):
+            worst = exact - bound
     return CheckResult("TV bound dominates exact TV", worst, 0.0)
 
 
@@ -186,44 +205,32 @@ def _binomial_dominance_check() -> CheckResult:
     """First-order stochastic dominance of Binomial(n, p') over
     Binomial(n, p) for p' >= p, checked CDF-wise; plus CDF monotonicity in
     the trial count."""
-    worst = -math.inf
-    ps = np.arange(0.05, 0.96, 0.15)
+    ps = np.arange(0.05, 0.96, 0.15)[:, None]
+    upper = np.triu(np.ones((ps.size, ps.size), dtype=bool))  # [i, j]: ps[j] >= ps[i]
+    diffs = []
     for n in (1, 2, 5, 17, 40):
-        for a in ps:
-            for k in range(-1, n):
-                # CDF is non-decreasing in the threshold
-                diff = binomial_cdf(n, float(a), k) - binomial_cdf(n, float(a), k + 1)
-                worst = max(worst, diff - 1e-14)
-            for b in ps:
-                if b < a:
-                    continue
-                for k in range(-1, n + 1):
-                    # larger p -> smaller CDF
-                    diff = binomial_cdf(n, float(b), k) - binomial_cdf(n, float(a), k)
-                    worst = max(worst, diff - 1e-14)
+        cdf = binomial_cdf(n, ps, np.arange(-1, n + 1))  # [p, k] for k = -1 .. n
+        # CDF is non-decreasing in the threshold
+        diffs.append(cdf[:, :-1] - cdf[:, 1:])
+        # larger p -> smaller CDF
+        diffs.append((cdf[None, :, :] - cdf[:, None, :])[upper])
         for m in (n + 1, n + 3):
-            for p in ps:
-                for q in ps:
-                    if q > p:
-                        continue
-                    for k in range(0, n + 1):
-                        # more trials and larger p -> smaller CDF
-                        diff = binomial_cdf(m, float(p), k) - binomial_cdf(n, float(q), k)
-                        worst = max(worst, diff - 1e-14)
+            # more trials and larger p -> smaller CDF, at k = 0 .. n
+            more = binomial_cdf(m, ps, np.arange(0, n + 1))
+            diffs.append((more[:, None, :] - cdf[None, :, 1:])[upper.T])
+    worst = float(np.max(np.concatenate([diff.ravel() for diff in diffs]) - 1e-14))
     return CheckResult("binomial stochastic dominance (k, p and n)", worst, 0.0)
 
 
 def _beta_ordering_check() -> CheckResult:
     """Beta tails grow with alpha and shrink with beta."""
-    worst = -math.inf
-    ys = (0.1, 0.3, 0.5, 0.7, 0.9)
-    for alpha in range(1, 30, 3):
-        for beta in range(1, 30, 3):
-            for y in ys:
-                base = beta_tail(alpha, beta, y)
-                worst = max(worst, base - beta_tail(alpha + 1, beta, y) - 1e-14)
-                worst = max(worst, beta_tail(alpha, beta + 1, y) - base - 1e-14)
-    return CheckResult("beta tail ordering in alpha/beta", worst, 0.0)
+    alpha = np.arange(1, 30, 3)[:, None, None]
+    beta = np.arange(1, 30, 3)[:, None]
+    ys = np.array([0.1, 0.3, 0.5, 0.7, 0.9])
+    base = beta_tail(alpha, beta, ys)
+    worst = np.maximum(base - beta_tail(alpha + 1, beta, ys) - 1e-14,
+                       beta_tail(alpha, beta + 1, ys) - base - 1e-14)
+    return CheckResult("beta tail ordering in alpha/beta", float(np.max(worst)), 0.0)
 
 
 def lemmas_suite(vectors_per_j: int = 200, roos_cases: int = 500) -> SuiteResult:
@@ -267,6 +274,8 @@ def windows_suite(traces: int = 100) -> SuiteResult:
     Rewards are random multiples of 1/1024 so that float accumulation is
     exact and equality is meaningful bit for bit.
     """
+    from .policies import PolicyConfig, make_policy
+
     suite = SuiteResult("windows")
     num_arms, horizon = _WINDOWS_ARMS, _WINDOWS_HORIZON
     rng = np.random.default_rng(_WINDOWS_SEED)
@@ -286,18 +295,20 @@ def windows_suite(traces: int = 100) -> SuiteResult:
             np.random.default_rng(_WINDOWS_SEED + trace),
         )
         counts_oracle, sums_oracle = recount_window_stats(pulls, rewards, num_arms, window)
-        # row t - 1 holds the statistics after round t, copied from the live
-        # lists: an ndarray snapshot per round would cost more than the update
-        counts = np.empty((horizon, num_arms), dtype=counts_oracle.dtype)
-        sums = np.empty((horizon, num_arms))
+        # the live lists after round t against recount row t, read as lists
+        # a chunk of rounds at a time
         live_counts, live_sums = policy.window_lists()
-        for t, (arm, reward) in enumerate(zip(pulls.tolist(), rewards.tolist()), start=1):
-            policy.update(arm, reward, t)
-            counts[t - 1] = live_counts
-            sums[t - 1] = live_sums
+        pulls, rewards = pulls.tolist(), rewards.tolist()
+        for lo in range(0, horizon, _WINDOWS_CHUNK):
+            hi = lo + _WINDOWS_CHUNK
+            for t, arm, reward, counts, sums in zip(
+                range(lo + 1, hi + 1), pulls[lo:hi], rewards[lo:hi],
+                counts_oracle[lo + 1 : hi + 1].tolist(), sums_oracle[lo + 1 : hi + 1].tolist(),
+            ):
+                policy.update(arm, reward, t)
+                if live_counts != counts or live_sums != sums:
+                    mismatches += 1
         checked += horizon
-        bad = (counts != counts_oracle[1:]).any(axis=1) | (sums != sums_oracle[1:]).any(axis=1)
-        mismatches += int(bad.sum())
     suite.checks.append(
         CheckResult(
             "window statistics equal recounts",

@@ -1,6 +1,7 @@
 """Distribution numerics against independent oracles: direct enumeration
 with exact combinatorics and scipy's incomplete-beta route."""
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from srrb.distmath import (
+    _walk,
     bernoulli_kl,
     beta_tail,
     binomial_cdf,
@@ -30,24 +32,29 @@ def enum_binomial_pmf(n, p):
     return [math.comb(n, s) * p**s * (1 - p) ** (n - s) for s in range(n + 1)]
 
 
+@functools.lru_cache(maxsize=None)
+def loop_anchor(n, p, s):
+    """Reference: C(n,s) p^s (1-p)^(n-s), 0 < p < 1, by float arithmetic up to
+    n = 1000 and as an exact big integer beyond (or where the float powers
+    could underflow)."""
+    if n <= 1000 and s * math.log(p) + (n - s) * math.log1p(-p) > -700.0:
+        return math.comb(n, s) * math.pow(p, s) * math.pow(1.0 - p, n - s)
+    frac = Fraction(p)
+    ip, e = frac.numerator, -(frac.denominator.bit_length() - 1)
+    iq = (1 << -e) - ip
+    num = math.comb(n, s) * pow(ip, s) * pow(iq, n - s)
+    shift = max(num.bit_length() - 64, 0)
+    return math.ldexp(num >> shift, shift + e * n)
+
+
 def loop_binomial_pmf(n, p):
-    """Reference: the mode-anchored term loop, one Python product per entry,
-    with the float anchor up to n = 1000 and the exact big-integer anchor
-    beyond (or where the float powers could underflow)."""
+    """Reference: the mode-anchored term loop, one Python product per entry."""
     out = np.zeros(n + 1)
     if p == 0.0 or p == 1.0:
         out[0 if p == 0.0 else n] = 1.0
         return out
     mode = min(max(int(math.floor((n + 1) * p)), 0), n)
-    if n <= 1000 and mode * math.log(p) + (n - mode) * math.log1p(-p) > -700.0:
-        anchor = math.comb(n, mode) * math.pow(p, mode) * math.pow(1.0 - p, n - mode)
-    else:
-        frac = Fraction(p)
-        ip, e = frac.numerator, -(frac.denominator.bit_length() - 1)
-        iq = (1 << -e) - ip
-        num = math.comb(n, mode) * pow(ip, mode) * pow(iq, n - mode)
-        shift = max(num.bit_length() - 64, 0)
-        anchor = math.ldexp(num >> shift, shift + e * n)
+    anchor = loop_anchor(n, p, mode)
     out[mode] = anchor
     q = 1.0 - p
     t = anchor
@@ -59,6 +66,34 @@ def loop_binomial_pmf(n, p):
         t *= ((n - s) * p) / ((s + 1) * q)
         out[s + 1] = t
     return out
+
+
+def loop_binomial_cdf(n, p, k):
+    """Reference: the scalar CDF term loop, anchored at min(mode, k), that
+    stops each walk after its first term below anchor * 1e-22."""
+    if k == -1:
+        return 0.0
+    if k == n or p == 0.0:
+        return 1.0
+    if p == 1.0:
+        return 0.0
+    q = 1.0 - p
+    anchor_s = min(min(max(int(math.floor((n + 1) * p)), 0), n), k)
+    anchor = loop_anchor(n, p, anchor_s)
+    terms = [anchor]
+    t = anchor
+    for s in range(anchor_s, 0, -1):
+        t *= (s * q) / ((n - s + 1) * p)
+        terms.append(t)
+        if t < anchor * 1e-22:
+            break
+    t = anchor
+    for s in range(anchor_s, k):
+        t *= ((n - s) * p) / ((s + 1) * q)
+        terms.append(t)
+        if t < anchor * 1e-22:
+            break
+    return min(math.fsum(terms), 1.0)
 
 
 def enum_pb_pmf(probs):
@@ -159,6 +194,70 @@ class TestBinomialCdf:
         assert binomial_cdf(n, p, k) == pytest.approx(st.binom.cdf(k, n, p), rel=1e-11, abs=1e-300)
 
 
+class TestBinomialCdfBits:
+    """Array and scalar binomial_cdf against the scalar term loop, bit for
+    bit: the smallest trial counts, the n = 1000/1001 switch to the exact
+    anchor, and modes at 0 and n (p = 1e-9 and 1 - 1e-9)."""
+
+    NS = list(range(120)) + [999, 1000, 1001, 1500]
+    PS = [0.0, 1.0, 1e-9, 1.0 - 1e-9, 0.5, *np.random.default_rng(20240602).random(3).tolist()]
+    # Past n = 1000 each (n, k) needs its own big-integer anchor, in the
+    # loop (where k is below the mode) and in the array call alike; there
+    # every 13th k (and k = n - 1) keeps the test's time down.
+    STRIDE = {p: 13 for p in PS[2:] if p != 0.5}
+
+    @pytest.mark.parametrize("p", PS)
+    def test_array_every_k(self, p):
+        ks = [np.arange(-1, m + 1) if m < 1000 else
+              np.union1d(np.arange(-1, m + 1, self.STRIDE.get(p, 1)), [m - 1, m])
+              for m in self.NS]
+        n = np.concatenate([np.full(k.size, m) for m, k in zip(self.NS, ks)])
+        k = np.concatenate(ks)
+        want = np.array([loop_binomial_cdf(m, p, j) for m, j in zip(n.tolist(), k.tolist())])
+        assert binomial_cdf(n, p, k).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("p", PS)
+    def test_scalar_is_a_float_with_the_loop_bits(self, p):
+        for n in (0, 1, 2, 7, 40, 119, 1001):
+            for k in range(-1, n + 1, 1 + n // 40):
+                got = binomial_cdf(n, p, k)
+                assert type(got) is float
+                assert got.hex() == loop_binomial_cdf(n, p, k).hex(), (n, k)
+
+    def test_broadcast_shapes(self):
+        n = np.array([[3], [17], [40]])
+        p = np.array([0.05, 0.35, 0.5, 0.95])
+        out = binomial_cdf(n, p, 2)
+        assert out.shape == (3, 4)
+        for (i, j), value in np.ndenumerate(out):
+            assert value.hex() == loop_binomial_cdf(int(n[i, 0]), float(p[j]), 2).hex()
+        k = np.arange(-1, 4)[:, None, None]
+        assert binomial_cdf(n, p, k).shape == (5, 3, 4)
+        assert binomial_cdf(np.array([5]), 0.5, 2).shape == (1,)
+        assert binomial_cdf(np.zeros((0, 2), dtype=int), 0.5, 0).shape == (0, 2)
+
+    def test_walk_keeps_the_first_term_below_the_cutoff(self):
+        # a term below anchor * 1e-22 moves a double sum too rarely for a
+        # CDF grid to show, so the kept mask is checked on its own
+        ratios = np.array([[0.5, 1e-23, 0.5, 0.5], [0.5, 0.5, 0.5, 0.5], [1e-30, 0.5, 0.5, 0.5]])
+        terms, kept = _walk(np.ones(3), ratios, np.array([4, 2, 0]))
+        assert terms[0].tolist() == [1.0, 0.5, 5e-24, 2.5e-24, 1.25e-24]
+        assert kept.tolist() == [[True, True, True, False, False],
+                                 [True, True, True, False, False],
+                                 [True, False, False, False, False]]
+
+    @pytest.mark.parametrize("n, p, k", [
+        (np.array([3, -1]), 0.5, 0),
+        (4, np.array([0.5, 1.5]), 0),
+        (4, np.array([0.5, np.nan]), 0),
+        (4, 0.5, np.array([0, -2])),
+        (np.array([4, 5]), 0.5, np.array([4, 6])),
+    ])
+    def test_out_of_range_in_an_array_raises(self, n, p, k):
+        with pytest.raises(ValueError):
+            binomial_cdf(n, p, k)
+
+
 class TestBinomialPmf:
     def test_matches_enumeration(self):
         for n in (0, 1, 5, 19):
@@ -240,6 +339,18 @@ class TestBetaTail:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             beta_tail(0, 1, 0.5)
+        with pytest.raises(ValueError):
+            beta_tail(np.array([2, 3]), np.array([1, 0]), 0.5)
+        with pytest.raises(ValueError):
+            beta_tail(2, 3, np.array([0.5, -0.1]))
+
+    def test_broadcasts_with_the_scalar_bits(self):
+        alpha, beta, y = np.arange(1, 6)[:, None, None], np.arange(1, 5)[:, None], np.array([0.1, 0.6])
+        out = beta_tail(alpha, beta, y)
+        assert out.shape == (5, 4, 2)
+        assert type(beta_tail(2, 3, 0.5)) is float
+        for (a, b, j), value in np.ndenumerate(out):
+            assert value.hex() == beta_tail(a + 1, b + 1, float(y[j])).hex()
 
 
 class TestPoissonBinomial:

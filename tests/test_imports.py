@@ -78,7 +78,8 @@ class TestSubcommandImports:
          ["srrb.harness", "srrb.policies", "srrb.verify", "srrb.constructions", "multiprocessing"]),
         ("run", "srrb.harness",
          ["srrb.verify", "srrb.constructions", "concurrent.futures.process", "multiprocessing"]),
-        ("verify", "srrb.verify", ["srrb.harness", "srrb.analytics", "srrb.constructions"]),
+        ("verify", "srrb.verify",
+         ["srrb.harness", "srrb.analytics", "srrb.constructions", "srrb.policies"]),
     ])
     def test_loads_only_its_layers(self, tmp_path, command, runs, absent):
         instance = tmp_path / "instance.json"

@@ -1,9 +1,20 @@
 """The verify suites must still fail when the code they check is broken."""
 
+import math
+
 import numpy as np
 
+from srrb import verify
 from srrb.policies import Policy
-from srrb.verify import _lemma_chain_check, windows_suite
+from srrb.verify import (
+    _beta_ordering_check,
+    _beta_tail_quadrature,
+    _binomial_dominance_check,
+    _lemma_chain_check,
+    _roos_dominance_check,
+    identities_suite,
+    windows_suite,
+)
 
 
 def _update_with_shifted_eviction(self, arm, reward, t):
@@ -52,3 +63,100 @@ class TestLemmaChain:
         assert check.worst.hex() == "0x1.4c4b92b073d40p-53"
         # and the comparison it occurs at, as the detail text names it
         assert check.detail == "worst margin at j=1 y=0.4 (pb vs mean)"
+
+
+class TestPinned:
+    def test_identities_worst_pinned(self):
+        # recorded before the suite evaluated its grid in blocks
+        identity, zero = identities_suite().checks
+        assert identity.worst.hex() == "0x1.d880000000000p-44"
+        assert identity.detail == "at alpha=43 beta=49 y=0.05"
+        assert zero.worst == 0.0
+
+    def test_windows_line_pinned(self):
+        # recorded before the suite compared the live lists with list rows
+        assert windows_suite().checks[0].line() == (
+            "[PASS] window statistics equal recounts: worst=0.000e+00 "
+            "(threshold 0.0e+00) 200000 round-level comparisons"
+        )
+
+    def test_batched_quadrature_has_the_per_pair_bits(self):
+        ys = np.arange(0.05, 0.951, 0.05)
+        alphas, betas = np.array([1, 7, 43, 50, 2]), np.array([1, 9, 49, 50, 33])
+        batched = _beta_tail_quadrature(alphas, betas, ys)
+        for row, a, b in zip(batched, alphas, betas):
+            assert row.tobytes() == _beta_tail_quadrature(np.array([a]), np.array([b]), ys)[0].tobytes()
+
+
+def _planted(real, hit):
+    """``real`` with NaN in place of each element where ``hit`` of the
+    arguments holds."""
+    def call(*args):
+        return np.where(hit(*map(np.asarray, args)), np.nan, real(*args))
+    return call
+
+
+def _at_half(y):
+    return np.abs(y - 0.5) < 1e-9
+
+
+class TestPlantedNaN:
+    """A NaN from the code under test makes its check's worst NaN, so the
+    check fails instead of passing over it."""
+
+    @staticmethod
+    def _fails(check):
+        assert math.isnan(check.worst) and not check.passed
+        assert check.line().startswith("[FAIL]") and "worst=nan" in check.line()
+
+    def test_beta_tail_identity(self, monkeypatch):
+        monkeypatch.setattr(verify, "beta_tail", _planted(
+            verify.beta_tail, lambda a, b, y: (a == 7) & (b == 9) & _at_half(y)))
+        check = identities_suite().checks[0]
+        self._fails(check)
+        assert check.detail == "at alpha=7 beta=9 y=0.50"
+
+    def test_binomial_cdf_at_zero(self, monkeypatch):
+        monkeypatch.setattr(verify, "binomial_cdf", _planted(
+            verify.binomial_cdf, lambda n, p, k: n == 17))
+        self._fails(identities_suite().checks[1])
+
+    def test_lemma_chain(self, monkeypatch):
+        real = verify.expected_inverse_tail
+        monkeypatch.setattr(verify, "expected_inverse_tail", lambda pmf, y: (
+            math.nan if len(pmf) == 4 and _at_half(y) else real(pmf, y)))
+        check = _lemma_chain_check(np.random.default_rng(20240601), vectors_per_j=2)
+        self._fails(check)
+        assert check.detail == "worst margin at j=3 y=0.5 (pb vs mean)"
+
+    def test_roos_dominance(self, monkeypatch):
+        real, calls = verify.roos_tv_bound, []
+
+        def bound(probs, mu):
+            calls.append(mu)
+            return math.nan if len(calls) == 3 else real(probs, mu)
+
+        monkeypatch.setattr(verify, "roos_tv_bound", bound)
+        self._fails(_roos_dominance_check(np.random.default_rng(20240603), cases=20))
+
+    def test_binomial_dominance(self, monkeypatch):
+        monkeypatch.setattr(verify, "binomial_cdf", _planted(
+            verify.binomial_cdf, lambda n, p, k: n == 17))
+        self._fails(_binomial_dominance_check())
+
+    def test_beta_ordering(self, monkeypatch):
+        monkeypatch.setattr(verify, "beta_tail", _planted(
+            verify.beta_tail, lambda a, b, y: (a == 7) & (b == 10) & _at_half(y)))
+        self._fails(_beta_ordering_check())
+
+    def test_window_statistics(self, monkeypatch):
+        real = Policy.update
+
+        def update(self, arm, reward, t):
+            real(self, arm, reward, t)
+            if t == 1000:
+                self._sums[arm] = math.nan
+
+        monkeypatch.setattr(Policy, "update", update)
+        check = windows_suite(traces=3).checks[0]
+        assert not check.passed and check.worst > 0
