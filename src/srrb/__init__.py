@@ -11,9 +11,15 @@ import importlib
 
 __version__ = "0.1.0"
 
+
+class InvalidInstanceError(ValueError):
+    """The arm/horizon combination violates a model invariant.  Defined
+    here, not in ``srrb.instance``, so that the CLI catches it without numpy."""
+
+
 # submodule -> the names it exports through the package
 _EXPORTS = {
-    "instance": ("Arm", "Instance", "InvalidInstanceError"),
+    "instance": ("Arm", "Instance"),
     "curves": (
         "RewardCurve",
         "RewardLaw",
@@ -67,7 +73,7 @@ _EXPORTS = {
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = ["__version__", *_OWNER]
+__all__ = ["__version__", "InvalidInstanceError", *_OWNER]
 
 
 def __getattr__(name: str):

@@ -16,8 +16,7 @@ from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
 
-from . import __version__
-from .instance import Instance, InvalidInstanceError
+from . import InvalidInstanceError, __version__
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -54,9 +53,10 @@ def _load_json(path) -> dict:
         raise ConfigError(f"{path}: not valid JSON ({exc})") from None
 
 
-def _instance_from_spec(spec, base_dir: Path = Path()) -> tuple[Instance, dict]:
+def _instance_from_spec(spec, base_dir: Path = Path()) -> tuple:
     """Inline instance document or {"file": path} reference, the path
-    relative to ``base_dir``; returns the instance and its document."""
+    relative to ``base_dir``; returns the ``Instance`` and its document."""
+    from .instance import Instance
     if isinstance(spec, dict) and set(spec) == {"file"} and isinstance(spec["file"], str):
         spec = _load_json(base_dir / spec["file"])
     with _config_errors("bad instance document: "):
@@ -225,14 +225,13 @@ def cmd_sweep(args) -> int:
         raise ConfigError("sweep requires a 'sweep' section in the config")
     if not isinstance(sweep_spec, dict) or "axis" not in sweep_spec or "grid" not in sweep_spec:
         raise ConfigError("sweep section needs 'axis' and 'grid'")
-    axis = sweep_spec["axis"]
-    grid = sweep_spec["grid"]
+    axis, grid = sweep_spec["axis"], sweep_spec["grid"]
     if not isinstance(grid, list) or not grid:
         raise ConfigError("sweep grid must be a non-empty list")
     with _config_errors("bad sweep section: "):
         for _, cfg in policies:
             for value in grid:
-                sweep_point(cfg, axis, value, instance.horizon)
+                sweep_point(cfg, axis, value, instance.horizon).resolve(instance.horizon)
 
     files, results = {}, {}
     for label, cfg in policies:

@@ -6,13 +6,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import InvalidInstanceError
 from .curves import RewardCurve, RewardLaw, curve_from_dict, law_from_dict
 
 __all__ = ["Arm", "Instance", "InvalidInstanceError"]
-
-
-class InvalidInstanceError(ValueError):
-    """The arm/horizon combination violates a model invariant."""
 
 
 @dataclass(frozen=True)
@@ -63,10 +60,8 @@ class Instance:
 
         finals = prefix[:, horizon] / horizon
         best = int(np.argmax(finals))
-        if len(arms) > 1:
-            others = np.delete(finals, best)
-            if np.max(others) == finals[best]:
-                raise InvalidInstanceError("optimal arm is not unique at the horizon")
+        if np.count_nonzero(finals == finals[best]) > 1:
+            raise InvalidInstanceError("optimal arm is not unique at the horizon")
         self._optimal_arm = best
 
     @property

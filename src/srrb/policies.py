@@ -127,8 +127,8 @@ class PolicyConfig:
             raise ValueError("Beta posteriors require a Bernoulli reward law")
         row = _KINDS[self.kind]
         window = row.default_window(horizon) if self.window is None else self.window
-        if window > horizon:
-            raise ValueError(f"window {window} exceeds horizon {horizon}")
+        if max(window, self.forced_pulls) > horizon:
+            raise ValueError(f"window {window} or forced_pulls {self.forced_pulls} > horizon {horizon}")
         filled = {"window": window}
         if row.param is not None and getattr(self, row.param) is None:
             filled[row.param] = row.default(laws)

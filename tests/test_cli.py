@@ -22,6 +22,15 @@ def _read_instance(path):
     return Instance.from_dict(json.loads(path.read_text()))
 
 
+def _cli_process(*argv):
+    """``python -m srrb.cli`` on ``argv`` with this checkout's srrb."""
+    src = str(Path(srrb.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    return subprocess.run([sys.executable, "-m", "srrb.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
 def _fail_write(monkeypatch, n):
     """Make the n-th ``Path.write_text`` call raise; returns the list of
     file names it was called with."""
@@ -252,14 +261,7 @@ class TestRun:
 
     def test_tie_at_the_config_horizon_as_a_process(self, tmp_path):
         out = tmp_path / "o"
-        src = str(Path(srrb.__file__).resolve().parent.parent)
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
-        proc = subprocess.run(
-            [sys.executable, "-m", "srrb.cli", "run", "--config", str(_late_riser_config(tmp_path)),
-             "--out", str(out)],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        proc = _cli_process("run", "--config", str(_late_riser_config(tmp_path)), "--out", str(out))
         assert proc.returncode == 3
         assert proc.stderr.startswith("invalid instance: optimal arm is not unique")
         assert "Traceback" not in proc.stderr
@@ -280,6 +282,16 @@ class TestRun:
         out = tmp_path / "o"
         assert main(["run", "--config", str(path), "--out", str(out)]) == 2
         assert "1" + "0" * 400 in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_forced_pulls_past_the_horizon_exits_2(self, experiment_config, tmp_path, capsys):
+        config = json.loads(experiment_config.read_text())
+        config["policies"][0]["forced_pulls"] = 151
+        path = tmp_path / "forced.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert "forced_pulls 151 > horizon 150" in capsys.readouterr().err
         assert not out.exists()
 
     def test_every_arm_law_checked_before_any_output(self, tmp_path, capsys):
@@ -518,6 +530,7 @@ class TestSweep:
             {"axis": "forced_pulls", "grid": [2.5]},
             {"axis": "forced_pulls", "grid": [3.0]},
             {"axis": "forced_pulls", "grid": [True]},
+            {"axis": "forced_pulls", "grid": [0, 151]},
             {"axis": "window_exponent", "grid": [0.5, "1"]},
         ],
     )
@@ -528,6 +541,20 @@ class TestSweep:
         path.write_text(json.dumps(config))
         out = tmp_path / "o"
         assert main(["sweep", "--config", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_forced_pulls_too_large_for_a_float_exits_2_as_a_process(
+        self, experiment_config, tmp_path
+    ):
+        config = json.loads(experiment_config.read_text())
+        config["sweep"] = {"axis": "forced_pulls", "grid": [0, 10**400]}
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "o"
+        proc = _cli_process("sweep", "--config", str(path), "--out", str(out))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: bad sweep section: ")
+        assert "Traceback" not in proc.stderr
         assert not out.exists()
 
     def test_missing_sweep_section_exits_2(self, experiment_config, tmp_path):

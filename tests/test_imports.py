@@ -36,6 +36,10 @@ class TestLazyExports:
             for name in names:
                 assert getattr(srrb, name) is getattr(owner, name), name
 
+    def test_invalid_instance_error_is_the_instance_modules(self):
+        instance = importlib.import_module("srrb.instance")
+        assert srrb.InvalidInstanceError is instance.InvalidInstanceError
+
     def test_bare_import_loads_no_submodule(self):
         loaded = _fresh("import json, sys, srrb; print(json.dumps(sorted(sys.modules)))")
         assert [m for m in loaded if m.startswith("srrb.")] == []
@@ -59,7 +63,10 @@ class TestLazyExports:
 _CLI_PROBE = """
 import json, sys
 from srrb.cli import main
-code = main(sys.argv[1:])
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:  # --version and --help
+    code = exc.code
 print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
 """
 
@@ -79,7 +86,10 @@ class TestSubcommandImports:
         ("run", "srrb.harness",
          ["srrb.verify", "srrb.constructions", "concurrent.futures.process", "multiprocessing"]),
         ("verify", "srrb.verify",
-         ["srrb.harness", "srrb.analytics", "srrb.constructions", "srrb.policies"]),
+         ["srrb.harness", "srrb.analytics", "srrb.constructions", "srrb.policies",
+          "srrb.instance", "srrb.curves"]),
+        ("--version", "srrb.cli", ["numpy", "srrb.instance"]),
+        ("--help", "srrb.cli", ["numpy", "srrb.instance"]),
     ])
     def test_loads_only_its_layers(self, tmp_path, command, runs, absent):
         instance = tmp_path / "instance.json"
@@ -92,7 +102,7 @@ class TestSubcommandImports:
             "run": ["run", "--config", str(config), "--out", str(tmp_path / "o"),
                     "--threads", "1"],
             "verify": ["verify", "--suite", "identities"],
-        }[command]
+        }.get(command, [command])
         result = _fresh(_CLI_PROBE, *argv)
         assert result["code"] == 0
         assert runs in result["modules"]

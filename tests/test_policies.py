@@ -37,9 +37,11 @@ class TestConfig:
         cfg = PolicyConfig(kind="beta_swts").resolve(horizon=500)
         assert cfg.window == 500
 
-    def test_resolve_rejects_oversized_window(self):
-        with pytest.raises(ValueError):
-            PolicyConfig(kind="beta_swts", window=100).resolve(horizon=50)
+    @pytest.mark.parametrize("field", ["window", "forced_pulls"])
+    def test_resolve_rejects_a_count_past_the_horizon(self, field):
+        assert PolicyConfig(kind="beta_swts", **{field: 50}).resolve(horizon=50)
+        with pytest.raises(ValueError, match="> horizon 50"):
+            PolicyConfig(kind="beta_swts", **{field: 51}).resolve(horizon=50)
 
     def test_sw_ucb_default_window_recipe(self):
         # ceil(4 sqrt(T ln T)) at T = 1e4 evaluates to 1214
