@@ -14,9 +14,9 @@ cannot favour a side.  In order:
 - ``in_process`` (``PAIRS`` pairs): one interpreter imports both roots'
   ``srrb`` under their own names and reads each metric of ``IN_PROCESS``:
   ``round_us.<kind>.k<K>``, microseconds per round of ``run_single`` on
-  ``random_rising_instance(HORIZON, K, seed=3)`` (runs seeded 0 and 1,
-  the ``run_k15`` workload's policies), and ``<suite>_s``, one verify
-  suite's seconds.
+  ``random_rising_instance(HORIZON, K, seed=3)`` for each K of ``ARMS``
+  (runs seeded 0 and 1, the ``run_k15`` workload's policies), and
+  ``<suite>_s``, one verify suite's seconds.
 - ``imports.<setting>`` (``IMPORT_PAIRS`` pairs): one fresh interpreter
   per reading, in the root with ``PYTHONPATH=src``, runs a statement of
   ``IMPORTS`` inside ``timed.run_timed``.  ``compiled_each_call`` sets
@@ -58,7 +58,9 @@ sys.dont_write_bytecode = True
 
 PAIRS = 10
 HORIZON = 10_000
-ARMS = (2, 15, 100)
+# 8 and 9 sit either side of the largest K at which Beta-TS draws per arm
+# (``srrb.policies._PER_ARM_DRAWS``)
+ARMS = (2, 8, 9, 15, 100)
 RUNS = 2
 # kind -> the rest of its PolicyConfig, as in the run_k15 workload
 POLICIES = {

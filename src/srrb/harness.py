@@ -178,17 +178,21 @@ def run_batches(
     """Run several batches of ``(config, runs, master_seed)`` on one
     instance, each run spanning the instance's horizon.
 
-    All runs of all batches form one task list, run serially or on a
-    single process pool.  Run ``r`` of a batch is seeded by
-    ``child_seed(master_seed, r)`` and checked against its pull-count
-    regret bound; each batch reduces its runs in run-index order, so
-    parallelism never changes a result.
+    Every batch's config is resolved for the instance first, so a bad one
+    fails before any run starts.  All runs of all batches form one task
+    list, run serially or on a single process pool.  Run ``r`` of a batch
+    is seeded by ``child_seed(master_seed, r)`` and checked against its
+    pull-count regret bound; each batch reduces its runs in run-index
+    order, so parallelism never changes a result.
     """
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
     batches = list(batches)
     if any(runs < 1 for _, runs, _ in batches):
         raise ValueError("runs must be >= 1")
+    laws = [arm.law for arm in instance.arms]
+    for config, _, _ in batches:
+        config.resolve(instance.horizon, laws)
     tasks = [(cfg, r, child_seed(seed, r)) for cfg, runs, seed in batches for r in range(runs)]
     workers = min(parallelism, len(tasks))
     if workers <= 1:
@@ -277,9 +281,10 @@ def sweep(
     value, in grid order.
 
     Every run spans the instance's horizon.  Every grid point's
-    configuration is built by :func:`sweep_point` before the first batch
-    runs, and all points run in one :func:`run_batches` call.  Each grid
-    point gets an independent seed derived from (master seed, axis index).
+    configuration is built by :func:`sweep_point` and resolved by
+    :func:`run_batches` before the first run starts, and all points run in
+    that one call.  Each grid point gets an independent seed derived from
+    (master seed, axis index).
     """
     grid = list(grid)
     if not grid:

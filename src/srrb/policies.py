@@ -11,6 +11,12 @@ window length.  Counts and sums are Python scalars, summed bit for bit
 as numpy would.  Each kind caches two index inputs per arm; ``update``
 refreshes them for the pulled and the evicted arm only.  A kind is one
 ``_KINDS`` row, an ``_index`` and a ``_refresh``.
+
+Beta-TS draws its samples with one scalar ``rng.beta`` call per arm up to
+``_PER_ARM_DRAWS`` arms, and with one array call above that: the array
+call pays a fixed cost for its argument checks and broadcasting that
+outweighs its per-arm savings at small K.  Both make the same draws, in
+arm order, from the same generator state.
 """
 
 from __future__ import annotations
@@ -33,6 +39,11 @@ __all__ = [
     "default_sw_window",
     "POLICY_KINDS",
 ]
+
+# the largest K at which Beta-TS draws per arm; per-arm and array draws
+# cost the same at K of about 12 to 15
+_PER_ARM_DRAWS = 8
+
 
 def default_precision_scale(law: RewardLaw) -> float:
     """Posterior precision scale min(1 / (4 lambda^2), 1) for a reward law."""
@@ -202,9 +213,8 @@ class Policy:
             raise ValueError(f"rounds must be sequential: expected {expected}, got {t}")
         raise ValueError(f"round {t} past the horizon {self.horizon}")
 
-    def _argmax_with_ties(self, values: np.ndarray) -> int:
+    def _argmax_with_ties(self, values: list) -> int:
         """Index of the maximum; only a tie draws (uniformly) from the rng."""
-        values = values.tolist()
         best = max(values)
         ties = values.count(best)
         if ties == 1:
@@ -220,9 +230,10 @@ class Policy:
             return self._counts.index(0)
         return self._argmax_with_ties(self._index(t))
 
-    def _index(self, t: int) -> np.ndarray:
-        """Per-arm selection values at round t, from ``_p`` and ``_q``; a
-        kind's ``_refresh(arm)`` recomputes both from the arm's window."""
+    def _index(self, t: int) -> list:
+        """Per-arm selection values at round t as a list, from ``_p`` and
+        ``_q``; a kind's ``_refresh(arm)`` recomputes both from the arm's
+        window."""
         raise NotImplementedError
 
     def update(self, arm: int, reward: float, t: int) -> None:
@@ -263,8 +274,10 @@ class BetaSlidingWindowTS(Policy):
 
     pulls_empty_arms = False
 
-    def _index(self, t: int) -> np.ndarray:
-        return self.rng.beta(self._p, self._q)
+    def _index(self, t: int) -> list:
+        if self.num_arms <= _PER_ARM_DRAWS:
+            return list(map(self.rng.beta, self._p.tolist(), self._q.tolist()))
+        return self.rng.beta(self._p, self._q).tolist()
 
     def update(self, arm: int, reward: float, t: int) -> None:
         if reward != 0.0 and reward != 1.0:
@@ -281,9 +294,9 @@ class GaussianSlidingWindowTS(Policy):
     """Thompson sampling with Normal(S/N, 1/(scale*N)) posteriors on the
     windowed statistics, scale = ``precision_scale``."""
 
-    def _index(self, t: int) -> np.ndarray:
+    def _index(self, t: int) -> list:
         # bit-identical to rng.normal(means, scales) at a fraction of its cost
-        return self._p + self._q * self.rng.standard_normal(self.num_arms)
+        return (self._p + self._q * self.rng.standard_normal(self.num_arms)).tolist()
 
     def _refresh(self, arm: int) -> None:
         n = self._counts[arm]
@@ -301,8 +314,8 @@ class SlidingWindowUCB(Policy):
     sqrt(alpha * log(t) / N).  For ``sw_ucb`` xi is ``sw_xi``.
     """
 
-    def _index(self, t: int) -> np.ndarray:
-        return self._p + np.sqrt(self.param * math.log(min(t, self.window)) / self._q)
+    def _index(self, t: int) -> list:
+        return (self._p + np.sqrt(self.param * math.log(min(t, self.window)) / self._q)).tolist()
 
     def _refresh(self, arm: int) -> None:
         n = self._counts[arm]

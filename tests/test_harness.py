@@ -336,6 +336,32 @@ class TestSweep:
             sweep(stationary([0.6, 0.5]), PolicyConfig(kind="beta_swts"), axis, [0, value])
         assert batches == []
 
+    @pytest.mark.parametrize(
+        "instance, config, axis, grid, message",
+        [
+            (stationary([0.6, 0.5], horizon=50), PolicyConfig(kind="beta_swts"),
+             "forced_pulls", [0, 51], "window 50 or forced_pulls 51 > horizon 50"),
+            (Instance([Arm(ConstantCurve(0.6), BoundedUniformLaw(0.2)),
+                       Arm(ConstantCurve(0.5), BernoulliLaw())], 50),
+             PolicyConfig(kind="beta_swts"), "forced_pulls", [0, 1],
+             "Beta posteriors require a Bernoulli reward law"),
+        ],
+    )
+    def test_unresolvable_point_fails_before_any_run(
+        self, monkeypatch, pools, instance, config, axis, grid, message
+    ):
+        import srrb.harness
+
+        started = []
+        real = srrb.harness.run_single
+        monkeypatch.setattr(
+            srrb.harness, "run_single", lambda *a, **k: started.append(a) or real(*a, **k)
+        )
+        for parallelism in (1, 2):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                sweep(instance, config, axis, grid, parallelism=parallelism)
+        assert started == [] and pools == []
+
     def test_window_exponent_clamps(self):
         inst = stationary([0.6, 0.5], horizon=100)
         points = sweep(

@@ -10,6 +10,7 @@ import pytest
 
 from srrb.curves import BernoulliLaw, BoundedUniformLaw
 from srrb.policies import (
+    _PER_ARM_DRAWS,
     POLICY_KINDS,
     PolicyConfig,
     default_precision_scale,
@@ -544,13 +545,19 @@ class TestIndexCache:
     pulled and the evicted arm only; after every update its index must
     equal the whole-array formula bit for bit, on copies of one generator
     state.  Window 1 over one arm evicts the pulled arm every round; window
-    7 over 15 arms empties and refills windows all the time.  Integer
-    parameters stay ``int`` in the config and must give the same bits."""
+    7 over 15 arms empties and refills windows all the time; K =
+    ``_PER_ARM_DRAWS`` and one more put Beta-TS on either side of its
+    choice between per-arm and array draws, whose generator must end where
+    the oracle's does.  Integer parameters stay ``int`` in the config and
+    must give the same bits."""
 
     HORIZON = 200
 
     @pytest.mark.parametrize("forced", [0, 1])
-    @pytest.mark.parametrize("num_arms, window", [(1, 1), (3, 1), (15, 7), (4, 40)])
+    @pytest.mark.parametrize(
+        "num_arms, window",
+        [(1, 1), (3, 1), (15, 7), (4, 40), (_PER_ARM_DRAWS, 12), (_PER_ARM_DRAWS + 1, 12)],
+    )
     @pytest.mark.parametrize(
         "kind, param",
         [
@@ -575,6 +582,8 @@ class TestIndexCache:
             oracle_rng = copy.deepcopy(policy.rng)
             state = policy.rng.bit_generator.state
             cached = policy._index(t + 1)
+            drawn = policy.rng.bit_generator.state
             policy.rng.bit_generator.state = state
             recomputed = _whole_array_index(kind, policy, t + 1, oracle_rng)
-            assert cached[read].tobytes() == recomputed[read].tobytes(), f"round {t}"
+            assert drawn == oracle_rng.bit_generator.state, f"round {t}"
+            assert np.asarray(cached)[read].tobytes() == recomputed[read].tobytes(), f"round {t}"
