@@ -19,9 +19,12 @@ cannot favour a side.  In order:
   ``<suite>_s``, one verify suite's seconds.
 - ``imports.<setting>`` (``IMPORT_PAIRS`` pairs): one fresh interpreter
   per reading, in the root with ``PYTHONPATH=src``, runs a statement of
-  ``IMPORTS`` inside ``timed.run_timed``.  ``compiled_each_call`` sets
-  ``PYTHONDONTWRITEBYTECODE=1`` (``bytecode_under_src`` records whether a
-  root holds bytecode of this Python that would be read instead);
+  ``IMPORTS`` inside ``timed.run_timed``: ``<name>_wall_s`` are the
+  statement's wall seconds, ``<name>_cpu_s`` the interpreter's CPU
+  seconds less its calibration loops' (see ``import_times``).
+  ``compiled_each_call`` sets ``PYTHONDONTWRITEBYTECODE=1``
+  (``bytecode_under_src`` records whether a root holds bytecode of this
+  Python that would be read instead);
   ``bytecode_cached`` uses a temporary ``PYTHONPYCACHEPREFIX`` filled by
   one warm-up interpreter per statement and root.
 - ``e2e.<workload>`` (``PAIRS`` pairs): ``python3 perfbench/run.py
@@ -138,10 +141,12 @@ def in_process_timer(srrb):
     return one
 
 
-def import_s(root: Path, statement: str, cache: Path | None, scratch: Path) -> float:
-    """Seconds one fresh interpreter takes to run ``statement``, at the
-    reference speed: bytecode cached under ``cache``, or never written if
-    it is None."""
+def import_times(root: Path, statement: str, cache: Path | None, scratch: Path) -> dict:
+    """One fresh interpreter running ``statement``, bytecode cached under
+    ``cache`` or never written if it is None: ``wall_s``, the seconds of
+    the statement, and ``cpu_s``, the user + system seconds of the whole
+    process (start-up included) less those of its calibration loops, as
+    ``perfbench/run.py`` counts them; both at the reference speed."""
     times = scratch / "times.json"
     env = {k: v for k, v in os.environ.items()
            if k not in ("PYTHONPYCACHEPREFIX", "PYTHONDONTWRITEBYTECODE")}
@@ -150,10 +155,16 @@ def import_s(root: Path, statement: str, cache: Path | None, scratch: Path) -> f
         env["PYTHONDONTWRITEBYTECODE"] = "1"
     else:
         env["PYTHONPYCACHEPREFIX"] = str(cache)
-    subprocess.run([sys.executable, "-c", CHILD, str(times), str(root / "perfbench"), statement],
-                   cwd=root, env=env, check=True)
+    argv = [sys.executable, "-c", CHILD, str(times), str(root / "perfbench"), statement]
+    proc = subprocess.Popen(argv, cwd=root, env=env)
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    if proc.returncode:
+        raise subprocess.CalledProcessError(proc.returncode, argv)
     t = json.loads(times.read_text(encoding="utf-8"))
-    return scaled(t["wall_s"], t["before"], t["after"])
+    before, after = t["before"], t["after"]
+    cpu = usage.ru_utime + usage.ru_stime - before["cpu_s"] - after["cpu_s"]
+    return {"wall_s": scaled(t["wall_s"], before, after), "cpu_s": scaled(cpu, before, after)}
 
 
 def run_e2e(root: Path, workload: str) -> dict:
@@ -244,12 +255,14 @@ def main() -> None:
         caches = {side: scratch / f"pycache-{side}" for side in roots}
         for side, root in roots.items():
             for statement in IMPORTS.values():
-                import_s(root, statement, caches[side], scratch)
+                import_times(root, statement, caches[side], scratch)
         for setting in ("compiled_each_call", "bytecode_cached"):
-            doc[f"imports.{setting}"] = paired(list(IMPORTS), lambda side, name: {
-                f"{name}_s": import_s(roots[side], IMPORTS[name],
-                                      caches[side] if setting == "bytecode_cached" else None,
-                                      scratch)}, IMPORT_PAIRS)
+            def measure(side, name):
+                cache = caches[side] if setting == "bytecode_cached" else None
+                times = import_times(roots[side], IMPORTS[name], cache, scratch)
+                return {f"{name}_{metric}": value for metric, value in times.items()}
+
+            doc[f"imports.{setting}"] = paired(list(IMPORTS), measure, IMPORT_PAIRS)
 
     for workload in E2E:
         doc[f"e2e.{workload}"] = {

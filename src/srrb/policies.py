@@ -170,10 +170,12 @@ class Policy:
     Every kind runs the same round: the forced round-robin phase, then (if
     ``pulls_empty_arms``) the lowest arm whose window holds no pull, else
     the argmax of the kind's ``_index``.  ``param`` holds the value of the
-    kind's one parameter field, or None.
+    kind's one parameter field, or None.  If ``binary_rewards``, ``update``
+    takes only the rewards 0 and 1.
     """
 
     pulls_empty_arms = True
+    binary_rewards = False
 
     def __init__(
         self, config: PolicyConfig, num_arms: int, horizon: int, rng: np.random.Generator
@@ -237,6 +239,8 @@ class Policy:
         raise NotImplementedError
 
     def update(self, arm: int, reward: float, t: int) -> None:
+        if self.binary_rewards and reward != 0.0 and reward != 1.0:
+            raise ValueError(f"Beta posteriors require rewards in {{0, 1}}, got {reward}")
         self._check_round(t)
         if not 0 <= arm < self.num_arms:
             raise IndexError(f"arm index {arm} out of range")
@@ -273,16 +277,12 @@ class BetaSlidingWindowTS(Policy):
     """
 
     pulls_empty_arms = False
+    binary_rewards = True
 
     def _index(self, t: int) -> list:
         if self.num_arms <= _PER_ARM_DRAWS:
             return list(map(self.rng.beta, self._p.tolist(), self._q.tolist()))
         return self.rng.beta(self._p, self._q).tolist()
-
-    def update(self, arm: int, reward: float, t: int) -> None:
-        if reward != 0.0 and reward != 1.0:
-            raise ValueError(f"Beta posteriors require rewards in {{0, 1}}, got {reward}")
-        super().update(arm, reward, t)
 
     def _refresh(self, arm: int) -> None:
         s = self._sums[arm]

@@ -40,9 +40,11 @@ _WINDOWS_SEED = 77
 _WINDOWS_ARMS = 5
 _WINDOWS_HORIZON = 2000
 _WINDOWS = (1, 7, 64, 2000)
-# (alpha, beta) pairs the identities suite holds at once, at 19 thresholds
-# and 64 quadrature nodes each.
-_IDENTITY_PAIRS = 25
+# (alpha, beta) pairs the identities suite passes to beta_tail at once, at
+# 19 thresholds each, and the pairs its quadrature oracle holds at once, at
+# 19 thresholds and 64 nodes each.
+_IDENTITY_PAIRS = 125
+_QUADRATURE_PAIRS = 25
 # Rounds of recount rows the windows suite reads as Python lists at once.
 _WINDOWS_CHUNK = 250
 
@@ -115,7 +117,9 @@ def identities_suite() -> SuiteResult:
     # the worst is the first strict maximum in the order (alpha, beta, y)
     for lo in range(0, alphas.size, _IDENTITY_PAIRS):
         alpha, beta = alphas[lo : lo + _IDENTITY_PAIRS], betas[lo : lo + _IDENTITY_PAIRS]
-        oracle = _beta_tail_quadrature(alpha, beta, ys)
+        oracle = np.concatenate([_beta_tail_quadrature(alpha[q : q + _QUADRATURE_PAIRS],
+                                                       beta[q : q + _QUADRATURE_PAIRS], ys)
+                                 for q in range(0, alpha.size, _QUADRATURE_PAIRS)])
         res = np.abs(beta_tail(alpha[:, None], beta[:, None], ys) - oracle)
         at = int(np.argmax(res))
         if _exceeds(res.flat[at], worst):

@@ -83,3 +83,12 @@ def test_gap_is_none_when_the_base_iqr_is_zero(bench):
     assert summary["base_quartiles"] == [2.0, 2.0, 2.0]
     assert summary["median_gap_over_base_iqr"] is None
     assert summary["change_wins"] == 1
+
+
+def test_import_times_reads_wall_and_cpu(bench, tmp_path):
+    root = Path(__file__).resolve().parent.parent
+    times = bench.import_times(root, "import json", None, tmp_path)
+    assert set(times) == {"wall_s", "cpu_s"}
+    # the CPU seconds count the interpreter's start-up, the wall seconds
+    # only the statement
+    assert 0 <= times["wall_s"] < times["cpu_s"]

@@ -17,12 +17,17 @@ import pytest
 import srrb
 
 
-def _fresh(code: str, *argv: str):
+def _fresh(code: str, *argv: str, openblas_threads: str | None = None):
     """Run ``code`` in a fresh interpreter that imports this checkout's
-    srrb; returns the JSON its last line of standard output prints."""
+    srrb, with ``OPENBLAS_NUM_THREADS`` set to ``openblas_threads`` or
+    unset (this process may have set it by importing ``srrb.cli``);
+    returns the JSON its last line of standard output prints."""
     src = str(Path(srrb.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas_threads
     proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
                           env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
@@ -107,3 +112,33 @@ class TestSubcommandImports:
         assert result["code"] == 0
         assert runs in result["modules"]
         assert [m for m in absent if m in result["modules"]] == []
+
+
+class TestBlasThreads:
+    """The CLI runs numpy's OpenBLAS on one thread unless the caller set
+    ``OPENBLAS_NUM_THREADS``; the library leaves the environment alone."""
+
+    def test_cli_import_pins_one_thread_before_numpy_loads(self):
+        result = _fresh("import json, os, sys, srrb.cli; print(json.dumps("
+                        "[os.environ.get('OPENBLAS_NUM_THREADS'), 'numpy' in sys.modules]))")
+        assert result == ["1", False]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc/self/task")
+    def test_cli_process_runs_one_thread(self):
+        result = _fresh("import json, os, sys; from srrb.cli import main; "
+                        "code = main(['verify', '--suite', 'identities']); "
+                        "print(json.dumps([code, 'numpy' in sys.modules, "
+                        "len(os.listdir('/proc/self/task'))]))")
+        assert result == [0, True, 1]
+
+    def test_callers_value_is_kept(self):
+        result = _fresh("import json, os, srrb.cli; "
+                        "print(json.dumps(os.environ.get('OPENBLAS_NUM_THREADS')))",
+                        openblas_threads="3")
+        assert result == "3"
+
+    def test_library_import_leaves_the_environment_alone(self):
+        result = _fresh("import json, os; before = dict(os.environ); import srrb; srrb.Instance; "
+                        "print(json.dumps([os.environ.get('OPENBLAS_NUM_THREADS'), "
+                        "dict(os.environ) == before]))")
+        assert result == [None, True]
