@@ -62,11 +62,10 @@ _EXPORTS = {
     "harness": (
         "RunRecord",
         "Aggregate",
-        "SweepPoint",
         "run_single",
         "run_batch",
         "run_batches",
-        "sweep",
+        "sweep_batches",
         "child_seed",
         "evaluation_grid",
     ),

@@ -14,7 +14,6 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict
 from pathlib import Path
 
 from . import InvalidInstanceError, __version__
@@ -130,9 +129,9 @@ def cmd_analyze(args) -> int:
 def _parse_experiment(args):
     """Check the whole experiment config before anything runs.
 
-    Returns the instance anchored at the run horizon, the JSON header, the
-    (label, resolved config) pairs, the ``sweep`` keywords and the
-    config's sweep section.
+    Returns the instance anchored at the run horizon, the JSON header
+    (which holds ``runs`` and ``master_seed``), the (label, resolved
+    config) pairs, the grid stride and the config's sweep section.
     """
     from .policies import PolicyConfig, _count
 
@@ -176,8 +175,7 @@ def _parse_experiment(args):
         "runs": runs,
         "master_seed": master_seed,
     }
-    batch = {"runs": runs, "master_seed": master_seed, "parallelism": args.threads, "stride": stride}
-    return instance, header, policies, batch, config.get("sweep")
+    return instance, header, policies, stride, config.get("sweep")
 
 
 def _csv_text(header: str, rows) -> str:
@@ -209,9 +207,9 @@ def cmd_run(args) -> int:
     from .harness import run_batches
 
     out_dir = _checked_out(args.out)
-    instance, header, policies, batch, _ = _parse_experiment(args)
-    batches = [(cfg, batch["runs"], batch["master_seed"]) for _, cfg in policies]
-    aggregates = run_batches(instance, batches, batch["parallelism"], batch["stride"])
+    instance, header, policies, stride, _ = _parse_experiment(args)
+    batches = [(cfg, header["runs"], header["master_seed"]) for _, cfg in policies]
+    aggregates = run_batches(instance, batches, args.threads, stride)
     files, results = {}, {}
     for (label, cfg), aggregate in zip(policies, aggregates):
         rows = (
@@ -226,10 +224,10 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    from .harness import sweep, sweep_point
+    from .harness import SWEEP_AXES, run_batches, sweep_batches
 
     out_dir = _checked_out(args.out)
-    instance, header, policies, batch, sweep_spec = _parse_experiment(args)
+    instance, header, policies, stride, sweep_spec = _parse_experiment(args)
     if not sweep_spec:
         raise ConfigError("sweep requires a 'sweep' section in the config")
     if not isinstance(sweep_spec, dict) or "axis" not in sweep_spec or "grid" not in sweep_spec:
@@ -237,23 +235,36 @@ def cmd_sweep(args) -> int:
     axis, grid = sweep_spec["axis"], sweep_spec["grid"]
     if not isinstance(grid, list) or not grid:
         raise ConfigError("sweep grid must be a non-empty list")
+    # planning resolves every point of every policy before any run starts
     with _config_errors("bad sweep section: "):
-        for _, cfg in policies:
-            for value in grid:
-                sweep_point(cfg, axis, value, instance.horizon).resolve(instance.horizon)
+        plans = [
+            sweep_batches(instance, cfg, axis, grid, header["runs"], header["master_seed"])
+            for _, cfg in policies
+        ]
+    aggregates = iter(
+        run_batches(instance, [b for plan in plans for b in plan], args.threads, stride)
+    )
 
     files, results = {}, {}
-    for label, cfg in policies:
-        points = sweep(instance, cfg, axis=axis, grid=grid, **batch)
+    for (label, cfg), plan in zip(policies, plans):
+        points = [
+            {
+                "axis_value": float(value),
+                "resolved": getattr(point, SWEEP_AXES[axis]),
+                "mean_final_regret": float(agg.mean_regret[-1]),
+                "std_final_regret": float(agg.std_regret[-1]),
+            }
+            for value, (point, _, _), agg in zip(grid, plan, aggregates)
+        ]
         rows = (
-            f"{_format_float(p.axis_value)},{p.resolved},"
-            f"{_format_float(p.mean_final_regret)},{_format_float(p.std_final_regret)}"
+            f"{_format_float(p['axis_value'])},{p['resolved']},"
+            f"{_format_float(p['mean_final_regret'])},{_format_float(p['std_final_regret'])}"
             for p in points
         )
         files[f"{label}_sweep.csv"] = _csv_text(
             "axis_value,resolved,mean_final_regret,std_final_regret", rows
         )
-        results[label] = {"config": cfg.to_dict(), "points": [asdict(p) for p in points]}
+        results[label] = {"config": cfg.to_dict(), "points": points}
     document = {"version": __version__, **header, "axis": axis, "grid": grid, "results": results}
     files["sweep.json"] = _json_text(document)
     _write_outputs(out_dir, files)

@@ -20,20 +20,17 @@ from .policies import Policy, PolicyConfig, make_policy
 __all__ = [
     "RunRecord",
     "Aggregate",
-    "SweepPoint",
     "evaluation_grid",
     "child_seed",
     "run_single",
     "run_batch",
     "run_batches",
-    "sweep",
-    "sweep_point",
+    "sweep_batches",
     "SWEEP_AXES",
 ]
 
 # the config field each sweep axis sets
-_AXIS_FIELDS = {"window_exponent": "window", "forced_pulls": "forced_pulls"}
-SWEEP_AXES = tuple(_AXIS_FIELDS)
+SWEEP_AXES = {"window_exponent": "window", "forced_pulls": "forced_pulls"}
 
 
 def evaluation_grid(horizon: int, stride: int | None = None) -> np.ndarray:
@@ -242,62 +239,37 @@ def run_batch(
     return run_batches(instance.at_horizon(horizon), batches, parallelism, stride)[0]
 
 
-@dataclass
-class SweepPoint:
-    axis_value: float
-    resolved: int  # the window or forced-pull count actually used
-    mean_final_regret: float
-    std_final_regret: float
-
-
-def sweep_point(config: PolicyConfig, axis: str, value, horizon: int) -> PolicyConfig:
-    """The configuration of one sweep grid point.
-
-    ``window_exponent`` maps a finite real a to a window of round(T^a)
-    clamped to [1, T]; ``forced_pulls`` takes the value as the count, so it
-    must pass that field's check.
-    """
-    if axis == "window_exponent":
-        exponent = _real("window_exponent", value)
-        # T^a >= T for a >= 1, so clamping a first keeps the power finite
-        window = int(min(max(round(horizon ** min(exponent, 1.0)), 1), horizon))
-        return replace(config, window=window)
-    if axis == "forced_pulls":
-        return replace(config, forced_pulls=value)
-    raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
-
-
-def sweep(
+def sweep_batches(
     instance: Instance,
-    base_config: PolicyConfig,
+    config: PolicyConfig,
     axis: str,
     grid,
     runs: int = 1,
     master_seed: int = 0,
-    parallelism: int = 1,
-    stride: int | None = None,
-) -> list[SweepPoint]:
-    """Sensitivity sweep along one configuration axis: one point per grid
-    value, in grid order.
+) -> list[tuple[PolicyConfig, int, int]]:
+    """The ``(config, runs, master_seed)`` batches of a sensitivity sweep
+    along one configuration axis, one per grid value in grid order, for
+    :func:`run_batches`.
 
-    Every run spans the instance's horizon.  Every grid point's
-    configuration is built by :func:`sweep_point` and resolved by
-    :func:`run_batches` before the first run starts, and all points run in
-    that one call.  Each grid point gets an independent seed derived from
-    (master seed, axis index).
+    ``window_exponent`` maps a finite real a to a window of round(T^a)
+    clamped to [1, T]; ``forced_pulls`` takes the value as the count.
+    Each point's config is resolved against the instance's horizon and
+    laws, so a bad grid value fails here, before any run.  Grid point j
+    is seeded ``child_seed(master_seed, j)``.
     """
+    if axis not in SWEEP_AXES:
+        raise ValueError(f"axis must be one of {tuple(SWEEP_AXES)}, got {axis!r}")
     grid = list(grid)
     if not grid:
         raise ValueError("sweep grid must be non-empty")
-    configs = [sweep_point(base_config, axis, value, instance.horizon) for value in grid]
-    batches = [(config, runs, child_seed(master_seed, j)) for j, config in enumerate(configs)]
-    aggregates = run_batches(instance, batches, parallelism, stride)
-    return [
-        SweepPoint(
-            axis_value=float(value),
-            resolved=getattr(config, _AXIS_FIELDS[axis]),
-            mean_final_regret=float(agg.mean_regret[-1]),
-            std_final_regret=float(agg.std_regret[-1]),
-        )
-        for value, config, agg in zip(grid, configs, aggregates)
-    ]
+    horizon = instance.horizon
+    laws = [arm.law for arm in instance.arms]
+    batches = []
+    for j, value in enumerate(grid):
+        if axis == "window_exponent":
+            exponent = _real("window_exponent", value)
+            # T^a >= T for a >= 1, so clamping a first keeps the power finite
+            value = int(min(max(round(horizon ** min(exponent, 1.0)), 1), horizon))
+        point = replace(config, **{SWEEP_AXES[axis]: value})
+        batches.append((point.resolve(horizon, laws), runs, child_seed(master_seed, j)))
+    return batches

@@ -199,14 +199,6 @@ class Policy:
         """The live window count and sum lists; only ``update`` changes them."""
         return self._counts, self._sums
 
-    @property
-    def window_counts(self) -> np.ndarray:
-        return np.array(self._counts, dtype=np.int64)
-
-    @property
-    def window_sums(self) -> np.ndarray:
-        return np.array(self._sums)
-
     def _check_round(self, t: int) -> None:
         expected = self._rounds_done + 1
         if t == expected <= self.horizon:

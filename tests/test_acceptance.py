@@ -24,7 +24,7 @@ from srrb.curves import (
     LinearCappedCurve,
     TabulatedCurve,
 )
-from srrb.harness import run_batch, run_single, sweep
+from srrb.harness import run_batch, run_batches, run_single, sweep_batches
 from srrb.instance import Arm, Instance
 from srrb.policies import PolicyConfig
 from srrb.verify import (
@@ -201,18 +201,12 @@ def test_criterion_9_forced_exploration_sensitivity():
     assert 1900 <= complexity <= 2100, f"design target missed: sigma_mu = {complexity}"
 
     grid = [0, 250, 500, 1000, 2000, 4000]
-    points = sweep(
-        inst,
-        PolicyConfig(kind="beta_swts"),
-        axis="forced_pulls",
-        grid=grid,
-        runs=20,
-        master_seed=777,
-        parallelism=8,
-        stride=horizon,
+    batches = sweep_batches(
+        inst, PolicyConfig(kind="beta_swts"), "forced_pulls", grid, runs=20, master_seed=777
     )
-    means = [p.mean_final_regret for p in points]
-    stds = [p.std_final_regret for p in points]
+    aggregates = run_batches(inst, batches, parallelism=8, stride=horizon)
+    means = [float(agg.mean_regret[-1]) for agg in aggregates]
+    stds = [float(agg.std_regret[-1]) for agg in aggregates]
     knee = int(np.argmin(means))
     # flatness below the knee: run-to-run noise plus the deterministic
     # forced-exploration overhead of a deceptive ramp, which stays below
@@ -281,22 +275,24 @@ def test_criterion_10_byte_identical_outputs(tmp_path):
             {"kind": "beta_swts", "label": "ts"},
             {"kind": "ucb1", "label": "ucb"},
         ],
+        "sweep": {"axis": "forced_pulls", "grid": [0, 50]},
     }
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config))
 
-    outputs = {}
-    for name, threads in (("first", 1), ("second", 1), ("eight", 8)):
-        out = tmp_path / name
-        assert main(["run", "--config", str(config_path), "--out", str(out), "--threads", str(threads)]) == 0
-        outputs[name] = {
-            p.name: p.read_bytes() for p in out.iterdir()
-        }
-    identical_rerun = outputs["first"] == outputs["second"]
-    identical_threads = outputs["first"] == outputs["eight"]
-    report(
-        10,
-        identical_rerun and identical_threads,
-        f"repeat run byte-identical: {identical_rerun}; threads 1 vs 8 "
-        f"byte-identical: {identical_threads}",
-    )
+    ok, summary = True, []
+    for command in ("run", "sweep"):
+        outputs = {}
+        for name, threads in (("first", 1), ("second", 1), ("eight", 8)):
+            out = tmp_path / command / name
+            argv = [command, "--config", str(config_path), "--out", str(out), "--threads", str(threads)]
+            assert main(argv) == 0
+            outputs[name] = {p.name: p.read_bytes() for p in out.iterdir()}
+        identical_rerun = outputs["first"] == outputs["second"]
+        identical_threads = outputs["first"] == outputs["eight"]
+        ok &= identical_rerun and identical_threads
+        summary.append(
+            f"{command}: repeat byte-identical: {identical_rerun}, threads 1 vs 8 "
+            f"byte-identical: {identical_threads} ({len(outputs['first'])} files)"
+        )
+    report(10, ok, "; ".join(summary))

@@ -3,6 +3,7 @@ rested reward semantics."""
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,14 @@ from srrb.curves import (
     TabulatedCurve,
 )
 from srrb.cli import main
-from srrb.harness import child_seed, evaluation_grid, run_batch, run_single, sweep
+from srrb.harness import (
+    child_seed,
+    evaluation_grid,
+    run_batch,
+    run_batches,
+    run_single,
+    sweep_batches,
+)
 from srrb.instance import Arm, Instance
 from srrb.policies import PolicyConfig
 
@@ -276,45 +284,54 @@ class TestRunBatch:
         assert again.mean_regret[-1] == agg.mean_regret[-1]
 
 
-class TestSweep:
+class TestSweepBatches:
+    def test_matches_the_benchmark_derivation(self):
+        # the derivation perfbench's sweep workload repeats for its traced
+        # replay: replace the field, resolve against the instance, seed
+        # point j by child_seed(master_seed, j)
+        inst = Instance([Arm(ConstantCurve(0.6), BoundedUniformLaw(0.2)),
+                         Arm(ConstantCurve(0.5), BernoulliLaw())], 300)
+        laws = [arm.law for arm in inst.arms]
+        cfg = PolicyConfig(kind="gauss_swgts", window=40)
+        grid, runs, seed = [0, 5, 20], 4, 99
+        plan = sweep_batches(inst, cfg, "forced_pulls", grid, runs, seed)
+        assert plan == [
+            (replace(cfg, forced_pulls=v).resolve(300, laws), runs, child_seed(seed, j))
+            for j, v in enumerate(grid)
+        ]
+
     def test_full_window_exponent_reproduces_plain_variant(self):
         inst = stationary([0.6, 0.5], horizon=400)
-        cfg = PolicyConfig(kind="beta_swts")
-        points = sweep(inst, cfg, axis="window_exponent", grid=[1.0], runs=3, master_seed=21)
-        assert points[0].resolved == 400
+        plan = sweep_batches(inst, PolicyConfig(kind="beta_swts"), "window_exponent", [1.0],
+                             runs=3, master_seed=21)
+        assert plan[0][0].window == 400
         direct = run_batch(
             inst,
             PolicyConfig(kind="beta_swts", window=400),
             runs=3,
             master_seed=child_seed(21, 0),
         )
-        assert points[0].mean_final_regret == direct.mean_regret[-1]
+        assert run_batches(inst, plan)[0].mean_regret[-1] == direct.mean_regret[-1]
 
-    def test_runs_at_the_instance_horizon(self):
-        # sweep has no horizon of its own: a shorter run is a shorter instance
+    def test_plans_at_the_instance_horizon(self):
+        # a sweep has no horizon of its own: a shorter run is a shorter instance
         inst = stationary([0.6, 0.5], horizon=400)
         short = Instance(inst.arms, 150)
         with pytest.raises(TypeError, match="horizon"):
-            sweep(inst, PolicyConfig(kind="beta_swts"), "forced_pulls", [0], horizon=150)
-        points = sweep(short, PolicyConfig(kind="beta_swts"), "window_exponent", [1.0], runs=2)
-        assert points[0].resolved == 150
+            sweep_batches(inst, PolicyConfig(kind="beta_swts"), "forced_pulls", [0], horizon=150)
+        plan = sweep_batches(short, PolicyConfig(kind="beta_swts"), "window_exponent", [1.0],
+                             runs=2)
+        assert plan[0][0].window == 150
         direct = run_batch(
             inst, PolicyConfig(kind="beta_swts", window=150), horizon=150, runs=2,
             master_seed=child_seed(0, 0),
         )
-        assert points[0].mean_final_regret == direct.mean_regret[-1]
+        assert run_batches(short, plan)[0].mean_regret[-1] == direct.mean_regret[-1]
 
-    def test_forced_pull_axis_resolves_values(self):
-        inst = stationary([0.6, 0.5], horizon=300)
-        points = sweep(
-            inst,
-            PolicyConfig(kind="beta_swts"),
-            axis="forced_pulls",
-            grid=[0, 5, 20],
-            runs=2,
-            master_seed=3,
-        )
-        assert [p.resolved for p in points] == [0, 5, 20]
+    def test_window_exponent_clamps(self):
+        inst = stationary([0.6, 0.5], horizon=100)
+        plan = sweep_batches(inst, PolicyConfig(kind="beta_swts"), "window_exponent", [0.0, 5.0])
+        assert [point.window for point, _, _ in plan] == [1, 100]
 
     @pytest.mark.parametrize(
         "axis, value",
@@ -327,62 +344,30 @@ class TestSweep:
             ("window_exponent", "0.5"),
         ],
     )
-    def test_bad_grid_value_fails_before_any_batch(self, monkeypatch, axis, value):
-        import srrb.harness
-
-        batches = []
-        monkeypatch.setattr(srrb.harness, "run_batches", lambda *a, **k: batches.append(a))
+    def test_bad_grid_value_fails_while_planning(self, axis, value):
         with pytest.raises(ValueError, match=axis):
-            sweep(stationary([0.6, 0.5]), PolicyConfig(kind="beta_swts"), axis, [0, value])
-        assert batches == []
+            sweep_batches(stationary([0.6, 0.5]), PolicyConfig(kind="beta_swts"), axis, [0, value])
 
     @pytest.mark.parametrize(
-        "instance, config, axis, grid, message",
+        "instance, message",
         [
-            (stationary([0.6, 0.5], horizon=50), PolicyConfig(kind="beta_swts"),
-             "forced_pulls", [0, 51], "window 50 or forced_pulls 51 > horizon 50"),
+            (stationary([0.6, 0.5], horizon=50), "window 50 or forced_pulls 51 > horizon 50"),
             (Instance([Arm(ConstantCurve(0.6), BoundedUniformLaw(0.2)),
                        Arm(ConstantCurve(0.5), BernoulliLaw())], 50),
-             PolicyConfig(kind="beta_swts"), "forced_pulls", [0, 1],
              "Beta posteriors require a Bernoulli reward law"),
         ],
     )
-    def test_unresolvable_point_fails_before_any_run(
-        self, monkeypatch, pools, instance, config, axis, grid, message
-    ):
-        import srrb.harness
+    def test_unresolvable_point_fails_while_planning(self, instance, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            sweep_batches(instance, PolicyConfig(kind="beta_swts"), "forced_pulls", [0, 51])
 
-        started = []
-        real = srrb.harness.run_single
-        monkeypatch.setattr(
-            srrb.harness, "run_single", lambda *a, **k: started.append(a) or real(*a, **k)
-        )
-        for parallelism in (1, 2):
-            with pytest.raises(ValueError, match=f"^{message}$"):
-                sweep(instance, config, axis, grid, parallelism=parallelism)
-        assert started == [] and pools == []
-
-    def test_window_exponent_clamps(self):
-        inst = stationary([0.6, 0.5], horizon=100)
-        points = sweep(
-            inst,
-            PolicyConfig(kind="beta_swts"),
-            axis="window_exponent",
-            grid=[0.0, 5.0],
-            runs=1,
-            master_seed=0,
-        )
-        assert points[0].resolved == 1
-        assert points[1].resolved == 100
-
-    def test_unknown_axis(self):
-        with pytest.raises(ValueError):
-            sweep(
-                stationary([0.6, 0.5]),
-                PolicyConfig(kind="beta_swts"),
-                axis="learning_rate",
-                grid=[1],
-            )
+    @pytest.mark.parametrize(
+        "axis, grid, message",
+        [("learning_rate", [1], "axis must be one of"), ("forced_pulls", [], "non-empty")],
+    )
+    def test_unknown_axis_or_empty_grid(self, axis, grid, message):
+        with pytest.raises(ValueError, match=message):
+            sweep_batches(stationary([0.6, 0.5]), PolicyConfig(kind="beta_swts"), axis, grid)
 
 
 @pytest.fixture
@@ -402,22 +387,50 @@ def pools(monkeypatch):
     return started
 
 
+def _experiment(tmp_path, horizon=100, **fields) -> str:
+    """An experiment config file on a two-armed stationary instance with
+    two policies, 2 runs each."""
+    config = tmp_path / "experiment.json"
+    config.write_text(json.dumps({
+        "instance": stationary([0.6, 0.5], horizon=horizon).to_dict(),
+        "runs": 2,
+        "policies": [{"kind": "beta_swts"}, {"kind": "ucb1"}],
+        **fields,
+    }))
+    return str(config)
+
+
 class TestOnePool:
-    @pytest.mark.parametrize("parallelism, expected", [(1, []), (2, [2])])
-    def test_sweep_starts_at_most_one_pool(self, pools, parallelism, expected):
-        inst = stationary([0.6, 0.5], horizon=100)
-        sweep(inst, PolicyConfig(kind="beta_swts"), "forced_pulls", [0, 1, 2], runs=2,
-              parallelism=parallelism)
+    @pytest.mark.parametrize("threads, expected", [("1", []), ("2", [2])])
+    def test_sweep_starts_at_most_one_pool(self, pools, tmp_path, threads, expected):
+        # both policies' grid points form one task list
+        config = _experiment(tmp_path, sweep={"axis": "forced_pulls", "grid": [0, 1, 2]})
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", config, "--out", str(out), "--threads", threads]) == 0
         assert pools == expected
 
     @pytest.mark.parametrize("threads, expected", [("1", []), ("2", [2])])
     def test_run_starts_at_most_one_pool(self, pools, tmp_path, threads, expected):
-        config = tmp_path / "experiment.json"
-        config.write_text(json.dumps({
-            "instance": stationary([0.6, 0.5], horizon=100).to_dict(),
-            "runs": 2,
-            "policies": [{"kind": "beta_swts"}, {"kind": "ucb1"}],
-        }))
         out = tmp_path / "out"
-        assert main(["run", "--config", str(config), "--out", str(out), "--threads", threads]) == 0
+        assert main(["run", "--config", _experiment(tmp_path), "--out", str(out),
+                     "--threads", threads]) == 0
         assert pools == expected
+
+    def test_unresolvable_sweep_point_starts_no_run_and_no_pool(
+        self, monkeypatch, pools, tmp_path, capsys
+    ):
+        import srrb.harness
+
+        started = []
+        real = srrb.harness.run_single
+        monkeypatch.setattr(
+            srrb.harness, "run_single", lambda *a, **k: started.append(a) or real(*a, **k)
+        )
+        config = _experiment(tmp_path, horizon=50, sweep={"axis": "forced_pulls", "grid": [0, 51]})
+        out = tmp_path / "out"
+        for threads in ("1", "2"):
+            assert main(["sweep", "--config", config, "--out", str(out), "--threads", threads]) == 2
+            assert capsys.readouterr().err == (
+                "error: bad sweep section: window 50 or forced_pulls 51 > horizon 50\n"
+            )
+        assert started == [] and pools == [] and not out.exists()

@@ -156,7 +156,7 @@ class TestForcedExploration:
         for t in range(1, 5 * forced + 1):
             arm = policy.select_arm(t)
             policy.update(arm, 0.25, t)
-        np.testing.assert_array_equal(policy.window_counts, forced)
+        np.testing.assert_array_equal(policy.window_lists()[0], forced)
 
     def test_fourth_round_second_pass(self):
         policy = build("beta_swts", 3, 50, forced=2)
@@ -184,10 +184,11 @@ class TestBetaSelection:
         for t, x in enumerate(rewards, start=1):
             policy.update(0, x, t)
         # S = 3, N = 5 gives a Beta(4, 3) posterior
-        assert policy.window_sums[0] == 3.0
-        assert policy.window_counts[0] == 5
-        assert policy.window_sums[0] + 1 == 4
-        assert policy.window_counts[0] - policy.window_sums[0] + 1 == 3
+        counts, sums = policy.window_lists()
+        assert sums[0] == 3.0
+        assert counts[0] == 5
+        assert sums[0] + 1 == 4
+        assert counts[0] - sums[0] + 1 == 3
 
     def test_rejects_nonbinary_reward(self):
         policy = build("beta_swts", 2, 10)
@@ -201,7 +202,7 @@ class TestBetaSelection:
         for t in range(1, 50):
             arm = policy.select_arm(t)
             policy.update(arm, 1.0, t)
-        assert policy.window_counts.sum() == 1
+        assert sum(policy.window_lists()[0]) == 1
 
 
 class TestGaussianSelection:
@@ -220,20 +221,20 @@ class TestGaussianSelection:
         policy.update(0, 1.0, 1)
         policy.update(1, 1.0, 2)
         policy.update(1, 1.0, 3)
-        assert policy.window_counts[0] == 0
+        assert policy.window_lists()[0][0] == 0
         assert policy.select_arm(4) == 0
 
     def test_accepts_real_rewards(self):
         policy = build("gauss_swgts", 2, 10)
         policy.update(0, 0.731, 1)
-        assert policy.window_sums[0] == pytest.approx(0.731)
+        assert policy.window_lists()[1][0] == pytest.approx(0.731)
 
     def test_float32_rewards_sum_in_double_precision(self):
         # a float32 added to a Python float would stay float32
         policy = build("gauss_swgts", 2, 10)
         for t in range(1, 4):
             policy.update(0, np.float32(0.1), t)
-        assert policy.window_sums[0] == 0.30000000447034836
+        assert policy.window_lists()[1][0] == 0.30000000447034836
 
 
 class TestWindowAccounting:
@@ -245,8 +246,7 @@ class TestWindowAccounting:
         policy.update(0, 1.0, 2)
         policy.update(1, 0.5, 3)
         policy.update(0, 1.0, 4)
-        assert policy.window_counts[0] == 2
-        assert policy.window_counts[1] == 1
+        assert policy.window_lists()[0] == [2, 1]
 
     def test_full_window_never_evicts(self):
         horizon = 300
@@ -254,7 +254,7 @@ class TestWindowAccounting:
         pulls = np.random.default_rng(9).integers(0, 2, size=horizon)
         for t, arm in enumerate(pulls, start=1):
             policy.update(int(arm), 1.0, t)
-        np.testing.assert_array_equal(policy.window_counts, np.bincount(pulls, minlength=2))
+        np.testing.assert_array_equal(policy.window_lists()[0], np.bincount(pulls, minlength=2))
 
     @pytest.mark.parametrize("window", [1, 7, 64, 500])
     def test_matches_recount_on_random_trace(self, window):
@@ -266,8 +266,9 @@ class TestWindowAccounting:
         counts, sums = recount_window_stats(pulls, rewards, num_arms, window)
         for t in range(1, horizon + 1):
             policy.update(int(pulls[t - 1]), float(rewards[t - 1]), t)
-            np.testing.assert_array_equal(policy.window_counts, counts[t])
-            np.testing.assert_array_equal(policy.window_sums, sums[t])
+            live_counts, live_sums = policy.window_lists()
+            np.testing.assert_array_equal(live_counts, counts[t])
+            np.testing.assert_array_equal(live_sums, sums[t])
 
     def test_out_of_order_rounds_rejected(self):
         policy = build("beta_swts", 2, 10)
@@ -293,14 +294,13 @@ class TestWindowAccounting:
         policy = build(kind, 2, 10, window=2)
         policy.update(0, 1.0, 1)
         policy.update(1, 0.0, 2)
-        counts, sums = policy.window_counts, policy.window_sums
+        counts, sums = map(list, policy.window_lists())
         with pytest.raises(ValueError):
             policy.update(0, reward, 3)
-        np.testing.assert_array_equal(policy.window_counts, counts)
-        assert policy.window_sums.tobytes() == sums.tobytes()
+        assert policy.window_lists() == (counts, sums)
         assert policy._rounds_done == 2
         policy.update(0, 1.0, 3)  # the same round then goes through, evicting round 1
-        np.testing.assert_array_equal(policy.window_counts, [1, 1])
+        assert policy.window_lists()[0] == [1, 1]
 
 
 class TestBaselines:
@@ -336,7 +336,7 @@ class TestBaselines:
         policy.update(0, 1.0, 1)
         policy.update(1, 0.0, 2)
         policy.update(1, 0.0, 3)
-        assert policy.window_counts[0] == 0
+        assert policy.window_lists()[0][0] == 0
         assert policy.select_arm(4) == 0
 
     def test_tie_break_randomizes(self):
@@ -485,8 +485,9 @@ class TestRingMatchesDequeOracle:
                 reward = success[arm] * reward_rng.random()
             policy.update(arm, reward, t)
             oracle.update(arm, reward, t)
-            np.testing.assert_array_equal(policy.window_counts, oracle.counts)
-            assert policy.window_sums.tobytes() == oracle.sums.tobytes()
+            counts, sums = policy.window_lists()
+            np.testing.assert_array_equal(counts, oracle.counts)
+            assert np.array(sums).tobytes() == oracle.sums.tobytes()
         # both generators must sit at the same point of their streams
         assert policy.rng.random() == oracle.rng.random()
         return oracle
@@ -517,10 +518,10 @@ class TestRingMatchesDequeOracle:
             build("ucb1", 15, self.HORIZON, window=7, seed=3),
         ):
             for t in range(1, 60):
-                counts = policy.window_counts
+                counts = list(policy.window_lists()[0])
                 arm = policy.select_arm(t)
-                if (counts == 0).any():
-                    assert arm == int(np.flatnonzero(counts == 0)[0])
+                if 0 in counts:
+                    assert arm == counts.index(0)
                 policy.update(arm, 1.0, t)
 
 
@@ -528,7 +529,7 @@ def _whole_array_index(kind, policy, t, generator):
     """The selection values by the whole-array formulas the per-arm cache
     replaced, recomputed from the public window statistics; entries of
     empty windows are meaningless for the kinds that never read them."""
-    counts, sums = policy.window_counts, policy.window_sums
+    counts, sums = map(np.array, policy.window_lists())
     if kind == "beta_swts":
         return generator.beta(sums + 1.0, counts - sums + 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -578,7 +579,7 @@ class TestIndexCache:
             arm = policy.select_arm(t)
             reward = reward_rng.random()
             policy.update(arm, float(reward < 0.5) if kind == "beta_swts" else reward, t)
-            read = policy.window_counts > 0 if policy.pulls_empty_arms else slice(None)
+            read = np.array(policy.window_lists()[0]) > 0 if policy.pulls_empty_arms else slice(None)
             oracle_rng = copy.deepcopy(policy.rng)
             state = policy.rng.bit_generator.state
             cached = policy._index(t + 1)
