@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distmath import _pb_prefix_pmfs, bernoulli_kl, binomial_pmf, binomial_pmfs, tv_distance
 from .instance import Instance
 
 __all__ = [
@@ -211,6 +210,8 @@ def pull_bound_terms(
     Binomial); otherwise the TV factor degrades to its trivial bound of 1
     and the result is flagged.
     """
+    from .distmath import bernoulli_kl
+
     if flavor not in ("beta", "gauss"):
         raise ValueError(f"flavor must be 'beta' or 'gauss', got {flavor!r}")
     if not 0.0 < eps <= 1.0:
@@ -261,6 +262,8 @@ def _tv_term(
 ) -> float:
     """Sum over j = forced .. sigma-1 of TV dissimilarity over the measure
     change denominator.  j = 0 contributes nothing: both laws degenerate."""
+    from .distmath import _pb_prefix_pmfs, binomial_pmf, binomial_pmfs, tv_distance
+
     star = instance.optimal_arm
     total = 0.0
     log_one_minus = math.log1p(-y_ref) if y_ref < 1.0 else -math.inf

@@ -4,14 +4,20 @@ Everything here is a pure function of its inputs.  The binomial CDF and
 pmf are computed with a term recurrence anchored at the mode (no
 incomplete-beta machinery), run as sequential numpy cumulative products.
 One function, ``_anchors``, chooses between a float and an exact integer
-anchor.  ``binomial_cdf`` and ``beta_tail`` broadcast over their
-arguments, and a scalar call is the one-element case of the same
-recurrence.  ``binomial_pmfs`` walks the trial count upward and carries
-the exact anchor from one count to the next, which is how the
-total-variation term of the pull bounds gets its reference pmfs.  One
-prefix walk, ``_pb_prefix_pmfs``, runs the O(n^2) Poisson-Binomial
-convolution, and the Beta tail uses the discrete Beta-Binomial identity,
-so all routines stay in elementary arithmetic.  The inverse-tail
+anchor; it carries the integer C(n, s) (times the integer powers, for an
+exact anchor) from one point to the next by a multiply and an exact
+divide, and reads the float powers from tables of ``math.pow`` values.
+``binomial_cdf`` and ``beta_tail`` broadcast over their arguments, and a
+scalar call is the one-element case of the same recurrence.  An array
+call walks once per distinct (n, p) for all its elements at or above the
+mode, each summing its share of the walk with ``math.fsum``; an element
+below the mode walks from its own anchor.  ``binomial_pmfs`` walks the
+trial count upward and carries the anchor from one count to the next,
+which is how the total-variation term of the pull bounds gets its
+reference pmfs.  One prefix walk, ``_pb_prefix_pmfs``, runs the O(n^2)
+Poisson-Binomial convolution, and the Beta tail uses the discrete
+Beta-Binomial identity, so all routines stay in elementary arithmetic.
+The inverse-tail
 expectation, like the TV distance, takes its law as a pmf, so a caller
 builds each pmf once and reads it at many thresholds.
 """
@@ -19,9 +25,7 @@ builds each pmf once and reads it at many thresholds.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
-from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -76,8 +80,8 @@ def _binomial_mode(n, p):
 
 def _dyadic(p: float) -> tuple[int, int, int]:
     """Integers ip, iq and e with p = ip * 2^e and 1 - p = iq * 2^e exactly."""
-    frac = Fraction(p)
-    ip, e = frac.numerator, -(frac.denominator.bit_length() - 1)
+    ip, den = p.as_integer_ratio()
+    e = -(den.bit_length() - 1)
     return ip, (1 << -e) - ip, e
 
 
@@ -87,43 +91,54 @@ def _round_scaled(num: int, exp2: int) -> float:
     return math.ldexp(num >> shift, shift + exp2)
 
 
-def _anchors(p: float, points: Iterable[tuple[int, int]]) -> Iterator[float]:
-    """C(n,s) p^s (1-p)^(n-s) for each point (n, s) of ``points``, 0 < p < 1
-    and 0 <= s <= n; s is the mode of Binomial(n, p), or a k below it.
+def _anchors(p: float, ns: Iterable[int], ss: Iterable[int]) -> Iterator[float]:
+    """C(n,s) p^s (1-p)^(n-s) for each point (n, s) of ``zip(ns, ss)``,
+    0 < p < 1 and 0 <= s <= n; s is the mode of Binomial(n, p), or a k
+    below it.
 
     Float arithmetic is used where it is safe: C(n,s) representable and no
-    underflow in the powers.  Elsewhere p = ip * 2^e and 1 - p = iq * 2^e
+    underflow in the powers.  There the value is C(n,s) times p^s and
+    (1-p)^(n-s), each power a ``math.pow`` value that a table keeps for
+    the later points.  Elsewhere p = ip * 2^e and 1 - p = iq * 2^e
     exactly, so the value is the big integer C(n,s) ip^s iq^(n-s) times a
     power of two, and its final rounding to float is the only inexact
     step; that keeps the relative error of a whole CDF at recurrence-
-    rounding level even for n = 1e5.  From a point (n - 1, s) to (n, s) or
-    (n, s + 1) the integer is carried with one small-integer multiply and
-    an exact divide instead of being rebuilt from the powers: the same
-    integer either way.
+    rounding level even for n = 1e5.  Either integer, C(n,s) or
+    C(n,s) ip^s iq^(n-s), is carried from a point (n, s - 1), (n - 1, s)
+    or (n - 1, s - 1) to (n, s) with one small-integer multiply and an
+    exact divide instead of being rebuilt from ``math.comb`` and the
+    powers: the same integer either way.
     """
     log_p, log_q = math.log(p), math.log1p(-p)
-    dyadic = num = last = None  # last is the point (n, s) whose exact integer num is
-    for n, s in points:
-        if n <= 1000 and s * log_p + (n - s) * log_q > -700.0:
-            last = None
-            yield math.comb(n, s) * math.pow(p, s) * math.pow(1.0 - p, n - s)
-            continue
-        if dyadic is None:
-            dyadic = _dyadic(p)
-        ip, iq, e = dyadic
-        if last == (n - 1, s):  # C(n,s) = C(n-1,s) n / (n-s)
-            num = num * (n * iq) // (n - s)
-        elif last == (n - 1, s - 1):  # C(n,s) = C(n-1,s-1) n / s
+    q = 1.0 - p
+    pow_p, pow_q = {}, {}
+    dyadic, exact, ip, iq = None, False, 1, 1
+    last_n = last_s = -2  # the point whose integer num is
+    for n, s in zip(ns, ss):
+        r = n - s
+        if (n > 1000 or s * log_p + r * log_q <= -700.0) != exact:
+            exact, last_n = not exact, -2
+            dyadic = dyadic or _dyadic(p)
+            ip, iq, e = dyadic if exact else (1, 1, 0)
+        if n == last_n and s == last_s + 1:  # C(n,s) = C(n,s-1) (n-s+1) / s
+            num = num * ((r + 1) * ip) // (s * iq)
+        elif n == last_n + 1 and s == last_s:  # C(n,s) = C(n-1,s) n / (n-s)
+            num = num * (n * iq) // r
+        elif n == last_n + 1 and s == last_s + 1:  # C(n,s) = C(n-1,s-1) n / s
             num = num * (n * ip) // s
         else:
-            num = math.comb(n, s) * pow(ip, s) * pow(iq, n - s)
-        last = (n, s)
-        yield _round_scaled(num, e * n)
+            num = math.comb(n, s) * pow(ip, s) * pow(iq, r) if exact else math.comb(n, s)
+        last_n, last_s = n, s
+        if exact:
+            yield _round_scaled(num, e * n)
+        else:
+            yield (num * (pow_p.get(s) or pow_p.setdefault(s, math.pow(p, s)))
+                   * (pow_q.get(r) or pow_q.setdefault(r, math.pow(q, r))))
 
 
-# The most recurrence terms (rows x their largest k + 1) one block of an
+# The most recurrence terms (walks x their largest k + 1) one block of an
 # array CDF holds at once.
-_BLOCK_TERMS = 1 << 12
+_BLOCK_TERMS = 1 << 13
 
 
 def binomial_cdf(n, p, k):
@@ -134,8 +149,12 @@ def binomial_cdf(n, p, k):
     pmf ratio recurrence moving away from its anchor (the mode, or k where
     k is below it), where they only decay; the walk keeps every term up to
     and including the first one below anchor * 1e-22, and the terms are
-    summed with ``math.fsum``.  An array call evaluates the elements in
-    blocks of at most ``_BLOCK_TERMS`` terms.
+    summed with ``math.fsum``.  Elements at or above the mode share one
+    walk per distinct (n, p), down to 0 and up to the largest such k: each
+    sums that walk's kept terms up to its own k, and as ``math.fsum`` is
+    correctly rounded, the sum is the one a walk of its own would give.
+    An element below the mode walks down from its own anchor.  An array
+    call evaluates the walks in blocks of at most ``_BLOCK_TERMS`` terms.
     """
     n, p, k = np.broadcast_arrays(np.asarray(n), np.asarray(p, dtype=float), np.asarray(k))
     if (n < 0).any():
@@ -150,40 +169,87 @@ def binomial_cdf(n, p, k):
     out = np.where((k == n) | ((k >= 0) & (p == 0.0)), 1.0, 0.0)
     live = (0 <= k) & (k < n) & (0.0 < p) & (p < 1.0)
     if live.any():
-        n, p, k = n[live], p[live], k[live]
-        s = np.minimum(_binomial_mode(n, p), k).astype(np.int64)
-        anchor = _distinct_anchors(n, p, s)
-        sums = np.empty(n.size)
-        # blocks of like k: from the narrowest row left, as many rows as fit
-        # _BLOCK_TERMS at the widest row that many would reach
-        order = np.argsort(k, kind="stable")
-        widths = (k[order] + 1).tolist()
-        lo = 0
-        while lo < order.size:
-            hi = min(lo + max(_BLOCK_TERMS // widths[lo], 1), order.size)
-            hi = lo + max(_BLOCK_TERMS // widths[hi - 1], 1)
-            block = order[lo:hi]
-            sums[block] = _cdf_block(n[block], p[block], k[block], s[block], anchor[block])
-            lo = hi
-        out[live] = sums
+        out[live] = _live_cdf(n[live], p[live], k[live])
     return float(out) if out.ndim == 0 else out
 
 
-def _distinct_anchors(n: np.ndarray, p: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """The anchor of each point (n, p, s), from one ``_anchors`` value per
-    distinct point; each p's points go to ``_anchors`` in order of (n, s),
-    the order in which it carries an exact integer."""
-    order = np.lexsort((s, n, p))
-    n, p, s = n[order], p[order], s[order]
-    first = np.ones(order.size, dtype=bool)
-    first[1:] = (p[1:] != p[:-1]) | (n[1:] != n[:-1]) | (s[1:] != s[:-1])
-    points = zip(p[first].tolist(), n[first].tolist(), s[first].tolist())
-    values = []
-    for p_value, group in itertools.groupby(points, key=lambda point: point[0]):
-        values.extend(_anchors(p_value, ((n, s) for _, n, s in group)))
-    anchor = np.empty(order.size)
-    anchor[order] = np.array(values)[np.cumsum(first) - 1]
-    return anchor
+def _live_cdf(n: np.ndarray, p: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """binomial_cdf of 0 < p < 1 and 0 <= k < n, elementwise."""
+    s = np.minimum(_binomial_mode(n, p), k).astype(np.int64)
+    # the elements in order of (p, n, s, k): each run of like (p, n, s) is
+    # one walk, from s down to 0 and up to the run's last k, so the elements
+    # at or above the mode of one (n, p) share a walk
+    order = np.lexsort((k, s, n, p))
+    n, p, s, k = n[order], p[order], s[order], k[order]
+    new = np.ones(n.size, dtype=bool)
+    new[1:] = (p[1:] != p[:-1]) | (n[1:] != n[:-1]) | (s[1:] != s[:-1])
+    walk = np.cumsum(new) - 1
+    first = np.flatnonzero(new)
+    top = k[np.append(first[1:] - 1, n.size - 1)]
+    n, p, s = n[first], p[first], s[first]
+    # the walks are distinct points (p, n, s), each p's in order of (n, s),
+    # the order in which _anchors carries its integers
+    ends = [*(np.flatnonzero(p[1:] != p[:-1]) + 1).tolist(), first.size]
+    n_list, s_list = n.tolist(), s.tolist()
+    anchor = np.array([value for lo, hi in zip([0, *ends], ends)
+                       for value in _anchors(float(p[lo]), n_list[lo:hi], s_list[lo:hi])])
+    # blocks of walks of like top: from the narrowest walk left, as many
+    # walks as fit _BLOCK_TERMS at the widest walk that many would reach;
+    # the elements in the order of their walks' ranks by top
+    by_top = np.argsort(top, kind="stable")
+    rank = np.empty_like(by_top)
+    rank[by_top] = np.arange(by_top.size)
+    cells = np.argsort(rank[walk], kind="stable")
+    up, walk = (k - s[walk])[cells], rank[walk[cells]]
+    widths = (top[by_top] + 1).tolist()
+    bounds = [0]
+    while bounds[-1] < by_top.size:
+        lo = bounds[-1]
+        hi = min(lo + max(_BLOCK_TERMS // widths[lo], 1), by_top.size)
+        bounds.append(min(lo + max(_BLOCK_TERMS // widths[hi - 1], 1), by_top.size))
+    sums = []
+    ends = np.searchsorted(walk, bounds).tolist()
+    for lo, hi, a, b in zip(bounds, bounds[1:], ends, ends[1:]):
+        block = by_top[lo:hi]
+        sums += _walk_sums(n[block], p[block], s[block], top[block], anchor[block],
+                           walk[a:b] - lo, up[a:b])
+    out = np.empty(k.size)
+    out[order[cells]] = np.minimum(sums, 1.0)
+    return out
+
+
+def _walk_sums(n, p, s, top, anchor, at, up) -> list[float]:
+    """The sums of walks' kept terms: element i reads walk ``at[i]`` from s
+    down to 0 and from s up to s + ``up[i]``.
+
+    Each walk goes down from s in one row of a walk matrix and, where its
+    top is above s, up to top in the next row, so its kept terms are
+    contiguous in row-major order.  An upward row is a downward one in
+    t' = n - t with p and 1 - p swapped: its ratio t' p / ((n-t'+1) q) is
+    the upward ratio (n-t) p / ((t+1) q), bit for bit.
+    """
+    rising = np.flatnonzero(top > s)
+    # the rows, each walk's downward one and then any upward one, with the
+    # columns start, steps, p, 1 - p, n and anchor
+    order = np.argsort(np.concatenate([2 * np.arange(n.size), 2 * rising + 1]))
+    q = 1.0 - p
+    rows = np.hstack([np.array([s, s, p, q, n, anchor]),
+                      np.array([n - s, top - s, q, p, n, anchor])[:, rising]])[:, order]
+    start, steps, p_row, q_row, n_row = rows[:5, :, None]
+    upward = order >= n.size
+    # ratio pmf(t-1)/pmf(t) = t q / ((n-t+1) p) at t = start, start-1, ..
+    j = np.arange(int(rows[1].max()))
+    t = start - j
+    ratios = np.where(j < steps, (t * q_row) / ((n_row - t + 1) * p_row), 0.0)
+    terms, kept = _walk(rows[5], ratios, rows[1])
+    kept[upward, 0] = False  # the anchor once, in the downward row
+    counts = kept.sum(axis=1)
+    starts, down = (np.cumsum(counts) - counts)[~upward][at], counts[~upward][at]
+    ups = np.zeros(n.size, dtype=counts.dtype)
+    ups[rising] = counts[upward]
+    ends = starts + down + np.minimum(up, ups[at])
+    terms = terms[kept].tolist()
+    return list(map(math.fsum, map(terms.__getitem__, map(slice, starts.tolist(), ends.tolist()))))
 
 
 def _walk(anchor: np.ndarray, ratios: np.ndarray, steps: np.ndarray):
@@ -204,32 +270,6 @@ def _walk(anchor: np.ndarray, ratios: np.ndarray, steps: np.ndarray):
     below = terms[:, 1:-1] < (anchor * _TERM_CUTOFF)[:, None]
     kept[:, 2:] &= ~np.logical_or.accumulate(below, axis=1)
     return terms, kept
-
-
-def _cdf_block(n, p, k, s, anchor) -> np.ndarray:
-    """binomial_cdf of 0 < p < 1 and 0 <= k < n, elementwise, given the
-    anchor at s = min(mode, k).
-
-    Element i walks down from s to 0 in row 2i and up from s to k (no step
-    where k is at or below the mode) in row 2i + 1 of one walk matrix, so
-    its kept terms are contiguous in row-major order.
-    """
-    n, p, k, s = n[:, None], p[:, None], k[:, None], s[:, None]
-    q = 1.0 - p
-    j = np.arange(int(np.maximum(s, k - s).max()))
-    ratios = np.empty((n.size, 2, j.size))
-    # ratio pmf(t-1)/pmf(t) = t q / ((n-t+1) p) at t = s, s-1, .., 1
-    t = s - j
-    ratios[:, 0] = np.where(t >= 1, (t * q) / ((n - t + 1) * p), 0.0)
-    # ratio pmf(t+1)/pmf(t) = (n-t) p / ((t+1) q) at t = s, s+1, .., k-1
-    t = s + j
-    ratios[:, 1] = np.where(t < k, ((n - t) * p) / ((t + 1) * q), 0.0)
-    terms, kept = _walk(np.repeat(anchor, 2), ratios.reshape(2 * n.size, j.size),
-                        np.hstack([s, k - s]).ravel())
-    kept[1::2, 0] = False  # the anchor once, in the downward row
-    terms = terms[kept].tolist()
-    ends = np.cumsum(kept.reshape(n.size, -1).sum(axis=1)).tolist()
-    return np.minimum([math.fsum(terms[a:b]) for a, b in zip([0, *ends], ends)], 1.0)
 
 
 def _degenerate_pmf(n: int, p: float) -> np.ndarray:
@@ -256,8 +296,8 @@ def _pmf_from_anchor(n: int, p: float, mode: int, anchor: float) -> np.ndarray:
     up[1:] = ((n - up[1:]) * p) / ((up[1:] + 1) * q)
     up[0] = anchor
     out = np.empty(n + 1)
-    out[mode::-1] = np.multiply.accumulate(down)
-    out[mode:] = np.multiply.accumulate(up)
+    np.multiply.accumulate(down, out=out[mode::-1])
+    np.multiply.accumulate(up, out=out[mode:])
     return out
 
 
@@ -277,8 +317,8 @@ def binomial_pmfs(p: float, start: int, stop: int) -> Iterator[np.ndarray]:
 
     Each pmf's value at the mode is its anchor (as in
     :func:`binomial_cdf`); the other entries follow from it by the pmf
-    ratio recurrences.  Successive modes differ by at most one, so an
-    exact anchor is carried from j to j + 1.
+    ratio recurrences.  Successive modes differ by at most one, so the
+    anchor's integer is carried from j to j + 1.
     """
     if start < 0:
         raise ValueError("start must be non-negative")
@@ -288,8 +328,9 @@ def binomial_pmfs(p: float, start: int, stop: int) -> Iterator[np.ndarray]:
         for j in range(start, stop):
             yield _degenerate_pmf(j, p)
         return
-    points = [(j, int(_binomial_mode(j, p))) for j in range(start, stop)]
-    for (j, mode), anchor in zip(points, _anchors(p, points)):
+    js = range(start, stop)
+    modes = [int(_binomial_mode(j, p)) for j in js]
+    for j, mode, anchor in zip(js, modes, _anchors(p, js, modes)):
         yield _pmf_from_anchor(j, p, mode, anchor)
 
 

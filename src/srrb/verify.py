@@ -8,6 +8,7 @@ identity, and prefix-count recounts for the sliding-window bookkeeping.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -40,10 +41,8 @@ _WINDOWS_SEED = 77
 _WINDOWS_ARMS = 5
 _WINDOWS_HORIZON = 2000
 _WINDOWS = (1, 7, 64, 2000)
-# (alpha, beta) pairs the identities suite passes to beta_tail at once, at
-# 19 thresholds each, and the pairs its quadrature oracle holds at once, at
-# 19 thresholds and 64 nodes each.
-_IDENTITY_PAIRS = 125
+# (alpha, beta) pairs the identities suite's quadrature oracle holds at
+# once, at 19 thresholds and 64 nodes each.
 _QUADRATURE_PAIRS = 25
 # Rounds of recount rows the windows suite reads as Python lists at once.
 _WINDOWS_CHUNK = 250
@@ -81,7 +80,15 @@ class SuiteResult:
         return all(c.passed for c in self.checks)
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """The nodes and weights of the 64-point Gauss-Legendre rule on [-1, 1],
+    built on first use: only the identities suite needs numpy.polynomial.
+    Read-only, as every call shares them."""
+    rule = np.polynomial.legendre.leggauss(64)
+    for array in rule:
+        array.setflags(write=False)
+    return rule
 
 
 def _beta_tail_quadrature(alphas: np.ndarray, betas: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -91,9 +98,10 @@ def _beta_tail_quadrature(alphas: np.ndarray, betas: np.ndarray, ys: np.ndarray)
     The density is a polynomial of degree alpha + beta - 2, so a 64-node
     rule on [y, 1] is exact up to rounding for alpha + beta <= 128.
     """
+    nodes, weights = _gauss_legendre()
     half = 0.5 * (1.0 - ys)[:, None]
-    x = half * (_GL_NODES + 1.0) + ys[:, None]
-    w = half * _GL_WEIGHTS
+    x = half * (nodes + 1.0) + ys[:, None]
+    w = half * weights
     log_norm = np.array([math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
                          for a, b in zip(alphas.tolist(), betas.tolist())])
     dens = (alphas - 1)[:, None, None] * np.log(x)
@@ -109,23 +117,17 @@ def identities_suite() -> SuiteResult:
     edge identities."""
     suite = SuiteResult("identities")
 
-    worst = 0.0
-    worst_at = ""
     ys = np.arange(0.05, 0.951, 0.05)
     alphas, betas = np.repeat(np.arange(1, 51), 50), np.tile(np.arange(1, 51), 50)
-    # blocks of (alpha, beta) pairs in loop order, each at every threshold:
-    # the worst is the first strict maximum in the order (alpha, beta, y)
-    for lo in range(0, alphas.size, _IDENTITY_PAIRS):
-        alpha, beta = alphas[lo : lo + _IDENTITY_PAIRS], betas[lo : lo + _IDENTITY_PAIRS]
-        oracle = np.concatenate([_beta_tail_quadrature(alpha[q : q + _QUADRATURE_PAIRS],
-                                                       beta[q : q + _QUADRATURE_PAIRS], ys)
-                                 for q in range(0, alpha.size, _QUADRATURE_PAIRS)])
-        res = np.abs(beta_tail(alpha[:, None], beta[:, None], ys) - oracle)
-        at = int(np.argmax(res))
-        if _exceeds(res.flat[at], worst):
-            i, j = divmod(at, ys.size)
-            worst = float(res.flat[at])
-            worst_at = f"alpha={alpha[i]} beta={beta[i]} y={ys[j]:.2f}"
+    oracle = np.concatenate([_beta_tail_quadrature(alphas[q : q + _QUADRATURE_PAIRS],
+                                                   betas[q : q + _QUADRATURE_PAIRS], ys)
+                             for q in range(0, alphas.size, _QUADRATURE_PAIRS)])
+    res = np.abs(beta_tail(alphas[:, None], betas[:, None], ys) - oracle)
+    # the worst is the first strict maximum (or the first NaN) in the order
+    # (alpha, beta, y)
+    at = int(np.argmax(res))
+    worst, (i, j) = float(res.flat[at]), divmod(at, ys.size)
+    worst_at = f"alpha={alphas[i]} beta={betas[i]} y={ys[j]:.2f}" if _exceeds(worst, 0.0) else ""
     suite.checks.append(
         CheckResult(
             "beta-tail identity vs quadrature",

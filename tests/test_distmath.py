@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from srrb.distmath import (
+    _anchors,
     _walk,
     bernoulli_kl,
     beta_tail,
@@ -235,6 +236,29 @@ class TestBinomialCdfBits:
         assert binomial_cdf(n, p, k).shape == (5, 3, 4)
         assert binomial_cdf(np.array([5]), 0.5, 2).shape == (1,)
         assert binomial_cdf(np.zeros((0, 2), dtype=int), 0.5, 0).shape == (0, 2)
+
+    def test_identities_call_shape(self):
+        # (pairs, 1) x 19 thresholds in one call, as the identities suite
+        # makes it: at each (n, y) the elements at or above the mode share
+        # one walk
+        ys = np.arange(0.05, 0.951, 0.05)
+        alpha, beta = (grid.reshape(-1, 1) for grid in np.meshgrid(
+            np.arange(1, 51, 3), np.arange(1, 51, 2), indexing="ij"))
+        got = binomial_cdf(alpha + beta - 1, ys, alpha - 1)
+        want = np.array([[loop_binomial_cdf(a + b - 1, y, a - 1) for y in ys.tolist()]
+                         for a, b in zip(alpha.ravel().tolist(), beta.ravel().tolist())])
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("p", [0.3, 0.9137])
+    def test_anchors_carried_along_n_and_s(self, p):
+        # every s at consecutive n, and points either side of the switch to
+        # the exact anchor at n = 1000, in the order binomial_cdf passes them
+        points = [(n, s) for n in (40, 41, 42) for s in range(n + 1)]
+        points += [(n, s) for n in (999, 1000, 1001, 1002)
+                   for s in range(int(n * p) - 2, int(n * p) + 3)]
+        ns, ss = zip(*points)
+        got = _anchors(p, list(ns), list(ss))
+        assert [value.hex() for value in got] == [loop_anchor(n, p, s).hex() for n, s in points]
 
     def test_walk_keeps_the_first_term_below_the_cutoff(self):
         # a term below anchor * 1e-22 moves a double sum too rarely for a

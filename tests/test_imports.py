@@ -87,12 +87,15 @@ _INSTANCE = {
 class TestSubcommandImports:
     @pytest.mark.parametrize("command, runs, absent", [
         ("analyze", "srrb.analytics",
-         ["srrb.harness", "srrb.policies", "srrb.verify", "srrb.constructions", "multiprocessing"]),
+         ["srrb.harness", "srrb.policies", "srrb.verify", "srrb.constructions", "multiprocessing",
+          "srrb.distmath", "fractions", "decimal"]),
         ("run", "srrb.harness",
-         ["srrb.verify", "srrb.constructions", "concurrent.futures.process", "multiprocessing"]),
+         ["srrb.verify", "srrb.constructions", "concurrent.futures.process", "multiprocessing",
+          "srrb.distmath", "fractions", "decimal"]),
         ("verify", "srrb.verify",
          ["srrb.harness", "srrb.analytics", "srrb.constructions", "srrb.policies",
-          "srrb.instance", "srrb.curves"]),
+          "srrb.instance", "srrb.curves", "fractions", "decimal"]),
+        ("verify-windows", "srrb.verify", ["numpy.polynomial", "fractions", "decimal"]),
         ("--version", "srrb.cli", ["numpy", "srrb.instance"]),
         ("--help", "srrb.cli", ["numpy", "srrb.instance"]),
     ])
@@ -107,6 +110,7 @@ class TestSubcommandImports:
             "run": ["run", "--config", str(config), "--out", str(tmp_path / "o"),
                     "--threads", "1"],
             "verify": ["verify", "--suite", "identities"],
+            "verify-windows": ["verify", "--suite", "windows"],
         }.get(command, [command])
         result = _fresh(_CLI_PROBE, *argv)
         assert result["code"] == 0

@@ -13,6 +13,7 @@ from srrb.verify import (
     _lemma_chain_check,
     _roos_dominance_check,
     identities_suite,
+    lemmas_suite,
     windows_suite,
 )
 
@@ -72,6 +73,24 @@ class TestPinned:
         assert identity.worst.hex() == "0x1.d880000000000p-44"
         assert identity.detail == "at alpha=43 beta=49 y=0.05"
         assert zero.worst == 0.0
+
+    def test_lemmas_lines_pinned(self):
+        # recorded before binomial_cdf shared one walk among the elements at
+        # or above the mode of one (n, p), as the dominance and ordering
+        # checks and the lemma chain's CDF columns pass them
+        checks = lemmas_suite().checks
+        assert [check.line() for check in checks] == [
+            "[PASS] inverse-tail expectation ordering (exact enumeration): worst=2.750e-16 "
+            "(threshold 1.0e-09) worst margin at j=1 y=0.6 (pb vs mean)",
+            "[PASS] TV bound dominates exact TV: worst=-2.031e-04 (threshold 0.0e+00) ",
+            "[PASS] binomial stochastic dominance (k, p and n): worst=-8.446e-15 "
+            "(threshold 0.0e+00) ",
+            "[PASS] beta tail ordering in alpha/beta: worst=-1.000e-14 (threshold 0.0e+00) ",
+        ]
+        assert [check.worst.hex() for check in checks] == [
+            "0x1.3d17f722bbe15p-52", "-0x1.a9fda9acc9724p-13",
+            "-0x1.3049b86a12b9bp-47", "-0x1.6849b86a12b9bp-47",
+        ]
 
     def test_windows_line_pinned(self):
         # recorded before the suite compared the live lists with list rows
