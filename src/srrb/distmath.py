@@ -200,7 +200,7 @@ def _live_cdf(n: np.ndarray, p: np.ndarray, k: np.ndarray) -> np.ndarray:
     rank = np.empty_like(by_top)
     rank[by_top] = np.arange(by_top.size)
     cells = np.argsort(rank[walk], kind="stable")
-    up, walk = (k - s[walk])[cells], rank[walk[cells]]
+    up, at = (k - s[walk])[cells], rank[walk[cells]]
     widths = (top[by_top] + 1).tolist()
     bounds = [0]
     while bounds[-1] < by_top.size:
@@ -208,11 +208,11 @@ def _live_cdf(n: np.ndarray, p: np.ndarray, k: np.ndarray) -> np.ndarray:
         hi = min(lo + max(_BLOCK_TERMS // widths[lo], 1), by_top.size)
         bounds.append(min(lo + max(_BLOCK_TERMS // widths[hi - 1], 1), by_top.size))
     sums = []
-    ends = np.searchsorted(walk, bounds).tolist()
-    for lo, hi, a, b in zip(bounds, bounds[1:], ends, ends[1:]):
+    cuts = np.searchsorted(at, bounds).tolist()
+    for lo, hi, a, b in zip(bounds, bounds[1:], cuts, cuts[1:]):
         block = by_top[lo:hi]
         sums += _walk_sums(n[block], p[block], s[block], top[block], anchor[block],
-                           walk[a:b] - lo, up[a:b])
+                           at[a:b] - lo, up[a:b])
     out = np.empty(k.size)
     out[order[cells]] = np.minimum(sums, 1.0)
     return out
