@@ -17,9 +17,8 @@ which is how the total-variation term of the pull bounds gets its
 reference pmfs.  One prefix walk, ``_pb_prefix_pmfs``, runs the O(n^2)
 Poisson-Binomial convolution, and the Beta tail uses the discrete
 Beta-Binomial identity, so all routines stay in elementary arithmetic.
-The inverse-tail
-expectation, like the TV distance, takes its law as a pmf, so a caller
-builds each pmf once and reads it at many thresholds.
+The inverse-tail expectation, like the TV distance, takes its law as a
+pmf, so a caller builds each pmf once and reads it at many thresholds.
 """
 
 from __future__ import annotations
@@ -183,38 +182,37 @@ def _live_cdf(n: np.ndarray, p: np.ndarray, k: np.ndarray) -> np.ndarray:
     n, p, s, k = n[order], p[order], s[order], k[order]
     new = np.ones(n.size, dtype=bool)
     new[1:] = (p[1:] != p[:-1]) | (n[1:] != n[:-1]) | (s[1:] != s[:-1])
-    walk = np.cumsum(new) - 1
     first = np.flatnonzero(new)
-    top = k[np.append(first[1:] - 1, n.size - 1)]
+    top, up = k[np.append(first[1:] - 1, n.size - 1)], k - s
     n, p, s = n[first], p[first], s[first]
+    del k  # a large call's peak memory is its element arrays: drop each once used
     # the walks are distinct points (p, n, s), each p's in order of (n, s),
     # the order in which _anchors carries its integers
     ends = [*(np.flatnonzero(p[1:] != p[:-1]) + 1).tolist(), first.size]
-    n_list, s_list = n.tolist(), s.tolist()
     anchor = np.array([value for lo, hi in zip([0, *ends], ends)
-                       for value in _anchors(float(p[lo]), n_list[lo:hi], s_list[lo:hi])])
+                       for value in _anchors(float(p[lo]), n[lo:hi].tolist(), s[lo:hi].tolist())])
     # blocks of walks of like top: from the narrowest walk left, as many
     # walks as fit _BLOCK_TERMS at the widest walk that many would reach;
     # the elements in the order of their walks' ranks by top
     by_top = np.argsort(top, kind="stable")
     rank = np.empty_like(by_top)
     rank[by_top] = np.arange(by_top.size)
-    cells = np.argsort(rank[walk], kind="stable")
-    up, at = (k - s[walk])[cells], rank[walk[cells]]
+    at = rank[np.cumsum(new) - 1]
+    cells = np.argsort(at, kind="stable")
+    at, up, order = at[cells], up[cells], order[cells]
+    del cells
     widths = (top[by_top] + 1).tolist()
     bounds = [0]
     while bounds[-1] < by_top.size:
         lo = bounds[-1]
         hi = min(lo + max(_BLOCK_TERMS // widths[lo], 1), by_top.size)
         bounds.append(min(lo + max(_BLOCK_TERMS // widths[hi - 1], 1), by_top.size))
-    sums = []
+    out = np.empty(at.size)
     cuts = np.searchsorted(at, bounds).tolist()
     for lo, hi, a, b in zip(bounds, bounds[1:], cuts, cuts[1:]):
         block = by_top[lo:hi]
-        sums += _walk_sums(n[block], p[block], s[block], top[block], anchor[block],
-                           at[a:b] - lo, up[a:b])
-    out = np.empty(k.size)
-    out[order[cells]] = np.minimum(sums, 1.0)
+        out[order[a:b]] = np.minimum(_walk_sums(n[block], p[block], s[block], top[block],
+                                                anchor[block], at[a:b] - lo, up[a:b]), 1.0)
     return out
 
 
