@@ -130,7 +130,7 @@ def _anchors(p: float, ns: Iterable[int], ss: Iterable[int]) -> Iterator[float]:
         last_n, last_s = n, s
         if exact:
             yield _round_scaled(num, e * n)
-        else:
+        else:  # the float branch's powers exceed e^-700, so no table entry is 0
             yield (num * (pow_p.get(s) or pow_p.setdefault(s, math.pow(p, s)))
                    * (pow_q.get(r) or pow_q.setdefault(r, math.pow(q, r))))
 
