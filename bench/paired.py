@@ -16,7 +16,8 @@ cannot favour a side.  In order:
   ``round_us.<kind>.k<K>``, microseconds per round of ``run_single`` on
   ``random_rising_instance(HORIZON, K, seed=3)`` for each K of ``ARMS``
   (runs seeded 0 and 1, the ``run_k15`` workload's policies), and
-  ``<suite>_s``, one verify suite's seconds.
+  ``<suite>_s``, one verify suite's seconds.  A ``gc.collect()`` precedes
+  every reading.
 - ``imports.<setting>`` (``IMPORT_PAIRS`` pairs): one fresh interpreter
   per reading, in the root with ``PYTHONPATH=src``, runs a statement of
   ``IMPORTS`` inside ``timed.run_timed``: ``<name>_wall_s`` are the
@@ -38,6 +39,7 @@ change's wins.
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib.util
 import json
 import os
@@ -113,7 +115,11 @@ def scaled(wall: float, before: dict, after: dict) -> float:
 
 
 def at_reference_speed(work) -> float:
-    """Seconds ``work()`` takes, scaled to perfbench's reference speed."""
+    """Seconds ``work()`` takes, scaled to perfbench's reference speed.
+
+    Both roots run in this one interpreter, so a full collection comes
+    first: no reading pays for the garbage the previous one left."""
+    gc.collect()
     before = reading()
     start = perf_counter()
     work()

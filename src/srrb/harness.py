@@ -8,6 +8,7 @@ batch is bit-for-bit reproducible at any parallelism level.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -29,6 +30,7 @@ __all__ = [
     "SWEEP_AXES",
 ]
 
+_UNIFORM_BLOCK = 1024  # reward uniforms drawn per generator call
 # the config field each sweep axis sets
 SWEEP_AXES = {"window_exponent": "window", "forced_pulls": "forced_pulls"}
 
@@ -97,6 +99,16 @@ class Aggregate:
         }
 
 
+class _Uniforms:
+    """The reward laws' view of ``rng``: ``random()`` returns the doubles of
+    scalar ``rng.random()`` calls, in order, drawn ``_UNIFORM_BLOCK`` at a
+    time from the first call on."""
+
+    def __init__(self, rng: np.random.Generator):
+        blocks = iter(lambda: rng.random(_UNIFORM_BLOCK).tolist(), None)
+        self.random = itertools.chain.from_iterable(blocks).__next__
+
+
 def run_single(
     instance: Instance,
     policy: Policy | PolicyConfig,
@@ -110,9 +122,9 @@ def run_single(
     Each round the policy selects an arm, the environment samples a reward
     at that arm's lifetime pull count (rested semantics), and the policy
     is updated.  Rewards come from a run-local stream derived from
-    ``seed``; when a :class:`PolicyConfig` is given the policy stream is a
-    sibling child of the same seed, so the whole record is a deterministic
-    function of (instance, policy, horizon, seed).
+    ``seed`` and drawn in blocks; when a :class:`PolicyConfig` is given the
+    policy stream is a sibling child of the same seed, so the whole record
+    is a deterministic function of (instance, policy, horizon, seed).
     """
     instance = instance.at_horizon(horizon)
     horizon = instance.horizon
@@ -122,17 +134,19 @@ def run_single(
         policy = make_policy(
             policy, instance.num_arms, horizon, np.random.default_rng(policy_ss), laws
         )
-    reward_rng = np.random.default_rng(reward_ss)
+    uniforms = _Uniforms(np.random.default_rng(reward_ss))
     grid = evaluation_grid(horizon, stride)
 
+    # bound once; each call still goes to the objects given, proxies included
+    select_arm, update, expected_reward = policy.select_arm, policy.update, instance.expected_reward
+    samplers = [law.sample for law in laws]
     counts = [0] * instance.num_arms
     pulls = []
     for t in range(1, horizon + 1):
-        arm = policy.select_arm(t)
+        arm = select_arm(t)
         n = counts[arm] + 1
         counts[arm] = n
-        mean = instance.expected_reward(arm, n)
-        policy.update(arm, laws[arm].sample(reward_rng, mean), t)
+        update(arm, samplers[arm](uniforms, expected_reward(arm, n)), t)
         pulls.append(arm)
 
     pulls = np.array(pulls, dtype=np.int32)

@@ -8,15 +8,16 @@ with rounds numbered from 1 and strictly sequential.  Window statistics
 over the last ``window`` rounds are kept in a ring of past pulls with O(1)
 eviction, so an update costs O(1) and a selection O(K), regardless of the
 window length.  Counts and sums are Python scalars, summed bit for bit
-as numpy would.  Each kind caches two index inputs per arm; ``update``
-refreshes them for the pulled and the evicted arm only.  A kind is one
-``_KINDS`` row, an ``_index`` and a ``_refresh``.
+as numpy would.  Each kind caches two index inputs per arm in float
+lists; ``update`` refreshes them for the pulled and the evicted arm only,
+and ``_index`` reads them with the IEEE operations of the whole-array
+formula, in its order.  A kind is one ``_KINDS`` row, an ``_index`` and a
+``_refresh``.
 
-Beta-TS draws its samples with one scalar ``rng.beta`` call per arm up to
-``_PER_ARM_DRAWS`` arms, and with one array call above that: the array
-call pays a fixed cost for its argument checks and broadcasting that
-outweighs its per-arm savings at small K.  Both make the same draws, in
-arm order, from the same generator state.
+Beta-TS draws with one scalar ``rng.beta`` call per arm up to
+``_PER_ARM_DRAWS`` arms; above that, with one array call on inputs it
+keeps in arrays, as a list argument costs a conversion per call.  Both
+make the same draws, in arm order, from the same generator state.
 """
 
 from __future__ import annotations
@@ -190,10 +191,11 @@ class Policy:
         self._ring: list[tuple[int, float]] = []
         self._counts = [0] * num_arms
         self._sums = [0.0] * num_arms
-        self._p = np.ones(num_arms)  # the kind's per-arm index inputs (Beta(1, 1) if empty)
-        self._q = np.ones(num_arms)
+        self._p = [1.0] * num_arms  # the kind's per-arm index inputs (Beta(1, 1) if empty)
+        self._q = [1.0] * num_arms
         self._empty = num_arms
         self._rounds_done = 0
+        self._forced_until = num_arms * config.forced_pulls
 
     def window_lists(self) -> tuple[list[int], list[float]]:
         """The live window count and sum lists; only ``update`` changes them."""
@@ -207,22 +209,21 @@ class Policy:
             raise ValueError(f"rounds must be sequential: expected {expected}, got {t}")
         raise ValueError(f"round {t} past the horizon {self.horizon}")
 
-    def _argmax_with_ties(self, values: list) -> int:
-        """Index of the maximum; only a tie draws (uniformly) from the rng."""
+    def select_arm(self, t: int) -> int:
+        if t != self._rounds_done + 1 or t > self.horizon:
+            self._check_round(t)
+        if t <= self._forced_until:
+            return (t - 1) % self.num_arms
+        if self._empty and self.pulls_empty_arms:
+            return self._counts.index(0)
+        # the argmax; only a tie draws (uniformly) from the rng
+        values = self._index(t)
         best = max(values)
         ties = values.count(best)
         if ties == 1:
             return values.index(best)
         pick = int(self.rng.integers(ties))
         return [i for i, v in enumerate(values) if v == best][pick]
-
-    def select_arm(self, t: int) -> int:
-        self._check_round(t)
-        if t <= self.num_arms * self.forced_pulls:
-            return (t - 1) % self.num_arms
-        if self._empty and self.pulls_empty_arms:
-            return self._counts.index(0)
-        return self._argmax_with_ties(self._index(t))
 
     def _index(self, t: int) -> list:
         """Per-arm selection values at round t as a list, from ``_p`` and
@@ -233,7 +234,8 @@ class Policy:
     def update(self, arm: int, reward: float, t: int) -> None:
         if self.binary_rewards and reward != 0.0 and reward != 1.0:
             raise ValueError(f"Beta posteriors require rewards in {{0, 1}}, got {reward}")
-        self._check_round(t)
+        if t != self._rounds_done + 1 or t > self.horizon:
+            self._check_round(t)
         if not 0 <= arm < self.num_arms:
             raise IndexError(f"arm index {arm} out of range")
         if not math.isfinite(reward):
@@ -271,9 +273,14 @@ class BetaSlidingWindowTS(Policy):
     pulls_empty_arms = False
     binary_rewards = True
 
+    def __init__(self, config: PolicyConfig, num_arms: int, horizon: int, rng: np.random.Generator):
+        super().__init__(config, num_arms, horizon, rng)
+        if num_arms > _PER_ARM_DRAWS:  # the array draw would convert lists every round
+            self._p, self._q = np.ones(num_arms), np.ones(num_arms)
+
     def _index(self, t: int) -> list:
         if self.num_arms <= _PER_ARM_DRAWS:
-            return list(map(self.rng.beta, self._p.tolist(), self._q.tolist()))
+            return list(map(self.rng.beta, self._p, self._q))
         return self.rng.beta(self._p, self._q).tolist()
 
     def _refresh(self, arm: int) -> None:
@@ -288,7 +295,8 @@ class GaussianSlidingWindowTS(Policy):
 
     def _index(self, t: int) -> list:
         # bit-identical to rng.normal(means, scales) at a fraction of its cost
-        return (self._p + self._q * self.rng.standard_normal(self.num_arms)).tolist()
+        noise = self.rng.standard_normal(self.num_arms).tolist()
+        return [p + q * z for p, q, z in zip(self._p, self._q, noise)]
 
     def _refresh(self, arm: int) -> None:
         n = self._counts[arm]
@@ -307,7 +315,8 @@ class SlidingWindowUCB(Policy):
     """
 
     def _index(self, t: int) -> list:
-        return (self._p + np.sqrt(self.param * math.log(min(t, self.window)) / self._q)).tolist()
+        xi_log = self.param * math.log(min(t, self.window))
+        return [p + math.sqrt(xi_log / n) for p, n in zip(self._p, self._q)]
 
     def _refresh(self, arm: int) -> None:
         n = self._counts[arm]

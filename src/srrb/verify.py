@@ -4,6 +4,8 @@ Each suite checks a family of distributional facts the analysis relies on
 against an independent oracle: exact enumeration for the expectation
 inequalities, Gauss-Legendre quadrature for the discrete Beta tail
 identity, and prefix-count recounts for the sliding-window bookkeeping.
+The checks import the ``distmath`` kernels they call when they run, so
+the windows suite never loads ``srrb.distmath``.
 """
 
 from __future__ import annotations
@@ -13,16 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .distmath import (
-    beta_tail,
-    binomial_cdf,
-    binomial_pmf,
-    expected_inverse_tail,
-    pb_pmf,
-    roos_tv_bound,
-    tv_distance,
-)
 
 __all__ = [
     "CheckResult",
@@ -115,6 +107,7 @@ def _beta_tail_quadrature(alphas: np.ndarray, betas: np.ndarray, ys: np.ndarray)
 def identities_suite() -> SuiteResult:
     """Discrete Beta tail against continuous quadrature, plus the binomial
     edge identities."""
+    from .distmath import beta_tail, binomial_cdf
     suite = SuiteResult("identities")
 
     ys = np.arange(0.05, 0.951, 0.05)
@@ -129,22 +122,14 @@ def identities_suite() -> SuiteResult:
     worst, (i, j) = float(res.flat[at]), divmod(at, ys.size)
     worst_at = f"alpha={alphas[i]} beta={betas[i]} y={ys[j]:.2f}" if _exceeds(worst, 0.0) else ""
     suite.checks.append(
-        CheckResult(
-            "beta-tail identity vs quadrature",
-            worst,
-            1e-10,
-            f"at {worst_at}",
-        )
-    )
+        CheckResult("beta-tail identity vs quadrature", worst, 1e-10, f"at {worst_at}"))
 
     trials = np.arange(1, 41)[:, None]
     ys = np.array([0.1, 0.35, 0.6, 0.9])
     # the closed form in Python float arithmetic, as the scalar check had it
     closed = np.array([[(1.0 - y) ** j for y in ys.tolist()] for j in trials[:, 0].tolist()])
     worst = float(np.max(np.abs(binomial_cdf(trials, ys, 0) - closed)))
-    suite.checks.append(
-        CheckResult("binomial cdf at zero equals (1-y)^(j+1)", worst, 1e-13)
-    )
+    suite.checks.append(CheckResult("binomial cdf at zero equals (1-y)^(j+1)", worst, 1e-13))
     return suite
 
 
@@ -156,6 +141,7 @@ def _lemma_chain_check(rng: np.random.Generator, vectors_per_j: int = 200) -> Ch
     relative terms.  Each draw's pmfs are built once and read at every
     threshold.
     """
+    from .distmath import binomial_pmf, expected_inverse_tail, pb_pmf
     worst = -math.inf
     worst_at = ""
     ys = np.arange(0.1, 0.91, 0.1)
@@ -180,16 +166,13 @@ def _lemma_chain_check(rng: np.random.Generator, vectors_per_j: int = 200) -> Ch
                     if _exceeds(rel, worst):
                         worst, worst_at = rel, f"j={j} y={y:.1f} x={frac:.2f}*mean"
                     prev = e_x
-    return CheckResult(
-        "inverse-tail expectation ordering (exact enumeration)",
-        worst,
-        1e-9,
-        f"worst margin at {worst_at}",
-    )
+    return CheckResult("inverse-tail expectation ordering (exact enumeration)", worst, 1e-9,
+                       f"worst margin at {worst_at}")
 
 
 def _roos_dominance_check(rng: np.random.Generator, cases: int = 500) -> CheckResult:
     """The order-0 Krawtchouk bound must dominate the exact TV distance."""
+    from .distmath import binomial_pmf, pb_pmf, roos_tv_bound, tv_distance
     worst = -math.inf
     for _ in range(cases):
         n = int(rng.integers(1, 13))
@@ -211,6 +194,7 @@ def _binomial_dominance_check() -> CheckResult:
     """First-order stochastic dominance of Binomial(n, p') over
     Binomial(n, p) for p' >= p, checked CDF-wise; plus CDF monotonicity in
     the trial count."""
+    from .distmath import binomial_cdf
     ps = np.arange(0.05, 0.96, 0.15)[:, None]
     upper = np.triu(np.ones((ps.size, ps.size), dtype=bool))  # [i, j]: ps[j] >= ps[i]
     diffs = []
@@ -230,6 +214,7 @@ def _binomial_dominance_check() -> CheckResult:
 
 def _beta_ordering_check() -> CheckResult:
     """Beta tails grow with alpha and shrink with beta."""
+    from .distmath import beta_tail
     alpha = np.arange(1, 30, 3)[:, None, None]
     beta = np.arange(1, 30, 3)[:, None]
     ys = np.array([0.1, 0.3, 0.5, 0.7, 0.9])
@@ -294,12 +279,8 @@ def windows_suite(traces: int = 100) -> SuiteResult:
         dyadic = rng.integers(0, 1025, size=horizon) / 1024.0
         kind = ("beta_swts", "gauss_swgts", "sw_ucb")[trace % 3]
         rewards = binary if kind == "beta_swts" else dyadic
-        policy = make_policy(
-            PolicyConfig(kind=kind, window=window),
-            num_arms,
-            horizon,
-            np.random.default_rng(_WINDOWS_SEED + trace),
-        )
+        policy = make_policy(PolicyConfig(kind=kind, window=window), num_arms, horizon,
+                             np.random.default_rng(_WINDOWS_SEED + trace))
         counts_oracle, sums_oracle = recount_window_stats(pulls, rewards, num_arms, window)
         # the live lists after round t against recount row t, read as lists
         # a chunk of rounds at a time
@@ -315,14 +296,8 @@ def windows_suite(traces: int = 100) -> SuiteResult:
                 if live_counts != counts or live_sums != sums:
                     mismatches += 1
         checked += horizon
-    suite.checks.append(
-        CheckResult(
-            "window statistics equal recounts",
-            float(mismatches),
-            0.0,
-            f"{checked} round-level comparisons",
-        )
-    )
+    suite.checks.append(CheckResult("window statistics equal recounts", float(mismatches), 0.0,
+                                    f"{checked} round-level comparisons"))
     return suite
 
 

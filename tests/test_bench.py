@@ -92,3 +92,11 @@ def test_import_times_reads_wall_and_cpu(bench, tmp_path):
     # the CPU seconds count the interpreter's start-up, the wall seconds
     # only the statement
     assert 0 <= times["wall_s"] < times["cpu_s"]
+
+
+def test_in_process_reading_collects_first(bench, monkeypatch):
+    events = []
+    monkeypatch.setattr(bench.gc, "collect", lambda: events.append("collect"))
+    monkeypatch.setattr(bench, "reading", lambda: events.append("reading") or {"loop_s": 1.0})
+    bench.at_reference_speed(lambda: events.append("work"))
+    assert events == ["collect", "reading", "work", "reading"]

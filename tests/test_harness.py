@@ -19,6 +19,8 @@ from srrb.curves import (
 )
 from srrb.cli import main
 from srrb.harness import (
+    _UNIFORM_BLOCK,
+    _Uniforms,
     child_seed,
     evaluation_grid,
     run_batch,
@@ -27,7 +29,7 @@ from srrb.harness import (
     sweep_batches,
 )
 from srrb.instance import Arm, Instance
-from srrb.policies import PolicyConfig
+from srrb.policies import PolicyConfig, make_policy
 
 
 def stationary(values, horizon=500):
@@ -194,6 +196,52 @@ class TestRunSingle:
         for seed in range(10):
             record = run_single(inst, PolicyConfig(kind="ucb1"), seed=seed)
             assert record.final_regret <= wald_regret_bound(inst, record.pull_counts) + 1e-9
+
+
+class TestRewardStream:
+    """The laws draw from a stream of the reward generator's uniforms,
+    drawn a block at a time; it must make the draws scalar calls make."""
+
+    def test_blocks_equal_scalar_draws(self):
+        blocked, scalar = np.random.default_rng(8), np.random.default_rng(8)
+        state = blocked.bit_generator.state
+        stream = _Uniforms(blocked)
+        assert blocked.bit_generator.state == state  # nothing drawn before the first call
+        draws = 3 * _UNIFORM_BLOCK
+        assert [stream.random() for _ in range(draws)] == [scalar.random() for _ in range(draws)]
+        assert blocked.bit_generator.state == scalar.bit_generator.state
+
+    @pytest.mark.parametrize("kind", ["gauss_swgts", "ucb1", "sw_ucb"])
+    def test_mixed_laws_match_a_scalar_reference_loop(self, kind):
+        # a Bernoulli arm and a uniform arm draw one uniform a sample; the
+        # deterministic arm (half width 0) draws none
+        horizon = 3 * _UNIFORM_BLOCK
+        inst = Instance(
+            [Arm(TabulatedCurve([0.2 + n / 8000 for n in range(horizon)]), BernoulliLaw()),
+             Arm(ConstantCurve(0.5), BoundedUniformLaw(half_width=0.3)),
+             Arm(ConstantCurve(0.35), BoundedUniformLaw(half_width=0.0))],
+            horizon,
+        )
+        config = PolicyConfig(kind=kind, window=200)
+        record = run_single(inst, config, seed=4, stride=1)
+
+        # the reference: one scalar reward_rng.random() call per drawn sample
+        policy_ss, reward_ss = np.random.SeedSequence(4).spawn(2)
+        laws = [arm.law for arm in inst.arms]
+        policy = make_policy(config, 3, horizon, np.random.default_rng(policy_ss), laws)
+        reward_rng = np.random.default_rng(reward_ss)
+        counts, pulls = [0, 0, 0], []
+        for t in range(1, horizon + 1):
+            arm = policy.select_arm(t)
+            counts[arm] += 1
+            mean = inst.expected_reward(arm, counts[arm])
+            policy.update(arm, laws[arm].sample(reward_rng, mean), t)
+            pulls.append(arm)
+        assert min(counts) > 0 and counts[0] + counts[1] > 2 * _UNIFORM_BLOCK
+        assert record.pulls.tolist() == pulls
+        regret = np.concatenate(([0.0], pseudo_regret(inst, pulls)))
+        assert record.regret.tobytes() == regret.tobytes()
+        assert record.pull_counts.tolist() == counts
 
 
 # (final regret bits, lifetime pulls per arm) for each kind at two seeds

@@ -95,7 +95,8 @@ class TestSubcommandImports:
         ("verify", "srrb.verify",
          ["srrb.harness", "srrb.analytics", "srrb.constructions", "srrb.policies",
           "srrb.instance", "srrb.curves", "fractions", "decimal"]),
-        ("verify-windows", "srrb.verify", ["numpy.polynomial", "fractions", "decimal"]),
+        ("verify-windows", "srrb.verify",
+         ["srrb.distmath", "numpy.polynomial", "fractions", "decimal"]),
         ("--version", "srrb.cli", ["numpy", "srrb.instance"]),
         ("--help", "srrb.cli", ["numpy", "srrb.instance"]),
     ])

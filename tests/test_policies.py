@@ -3,6 +3,7 @@ selection, baselines, and determinism."""
 
 import copy
 import math
+import re
 from collections import deque
 
 import numpy as np
@@ -237,6 +238,32 @@ class TestGaussianSelection:
         assert policy.window_lists()[1][0] == 0.30000000447034836
 
 
+_BETA = ("beta_swts",)
+_NOT_BETA = tuple(kind for kind in POLICY_KINDS if kind != "beta_swts")
+_SEQUENTIAL = "rounds must be sequential: expected 3, got"
+# (kinds, call, arguments, horizon, error, message): each call is made
+# after rounds 1 and 2 of a two-arm policy with window 2
+_REJECTED_CALLS = [
+    (POLICY_KINDS, "select_arm", (2,), 10, ValueError, f"{_SEQUENTIAL} 2"),
+    (POLICY_KINDS, "select_arm", (4,), 10, ValueError, f"{_SEQUENTIAL} 4"),
+    (POLICY_KINDS, "select_arm", (3,), 2, ValueError, "round 3 past the horizon 2"),
+    (POLICY_KINDS, "update", (0, 1.0, 2), 10, ValueError, f"{_SEQUENTIAL} 2"),
+    (POLICY_KINDS, "update", (0, 1.0, 4), 10, ValueError, f"{_SEQUENTIAL} 4"),
+    (POLICY_KINDS, "update", (0, 1.0, 3), 2, ValueError, "round 3 past the horizon 2"),
+    (POLICY_KINDS, "update", (2, 1.0, 3), 10, IndexError, "arm index 2 out of range"),
+    (POLICY_KINDS, "update", (-1, 0.0, 3), 10, IndexError, "arm index -1 out of range"),
+    (_BETA, "update", (0, 0.5, 3), 10, ValueError, "rewards in {0, 1}, got 0.5"),
+    *((_BETA, "update", (0, x, 3), 10, ValueError, f"rewards in {{0, 1}}, got {x}")
+      for x in (math.nan, math.inf, -math.inf)),
+    *((_NOT_BETA, "update", (0, x, 3), 10, ValueError, f"rewards must be finite, got {x}")
+      for x in (math.nan, math.inf, -math.inf)),
+    # the order of the checks: Beta's reward, the round, the arm, finiteness
+    (_BETA, "update", (2, math.nan, 4), 10, ValueError, "rewards in {0, 1}, got nan"),
+    (_NOT_BETA, "update", (2, math.nan, 4), 10, ValueError, f"{_SEQUENTIAL} 4"),
+    (_NOT_BETA, "update", (2, math.nan, 3), 10, IndexError, "arm index 2 out of range"),
+]
+
+
 class TestWindowAccounting:
     def test_gap_window_example(self):
         # window 3, pulls of arm 0 at rounds 1, 2 and 4: by round 5 only
@@ -287,20 +314,26 @@ class TestWindowAccounting:
         with pytest.raises(ValueError, match="sequential: expected 3, got 4"):
             policy.select_arm(4)
 
-    @pytest.mark.parametrize("reward", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("kind", POLICY_KINDS)
-    def test_non_finite_reward_rejected_before_any_state_changes(self, kind, reward):
+    @pytest.mark.parametrize("kind, call, args, horizon, error, message", [
+        (kind, *row) for kinds, *row in _REJECTED_CALLS for kind in kinds
+    ])
+    def test_rejected_call_changes_no_state(self, kind, call, args, horizon, error, message):
         # a NaN would stay in the arm's window sum for good
-        policy = build(kind, 2, 10, window=2)
+        policy = build(kind, 2, horizon, window=2)
         policy.update(0, 1.0, 1)
         policy.update(1, 0.0, 2)
-        counts, sums = map(list, policy.window_lists())
-        with pytest.raises(ValueError):
-            policy.update(0, reward, 3)
-        assert policy.window_lists() == (counts, sums)
-        assert policy._rounds_done == 2
-        policy.update(0, 1.0, 3)  # the same round then goes through, evicting round 1
-        assert policy.window_lists()[0] == [1, 1]
+
+        def state():
+            return ([list(v) for v in (*policy.window_lists(), policy._p, policy._q)],
+                    list(policy._ring), policy._empty, policy._rounds_done)
+
+        before = state()
+        with pytest.raises(error, match=re.escape(message)):
+            getattr(policy, call)(*args)
+        assert state() == before
+        if horizon > 2:
+            policy.update(0, 1.0, 3)  # the same round then goes through, evicting round 1
+            assert policy.window_lists()[0] == [1, 1]
 
 
 class TestBaselines:

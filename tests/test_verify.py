@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from srrb import verify
+from srrb import distmath
 from srrb.policies import Policy
 from srrb.verify import (
     _beta_ordering_check,
@@ -121,7 +121,8 @@ def _at_half(y):
 
 class TestPlantedNaN:
     """A NaN from the code under test makes its check's worst NaN, so the
-    check fails instead of passing over it."""
+    check fails instead of passing over it.  The checks import each kernel
+    from ``srrb.distmath`` when they run, so it is planted there."""
 
     @staticmethod
     def _fails(check):
@@ -129,43 +130,43 @@ class TestPlantedNaN:
         assert check.line().startswith("[FAIL]") and "worst=nan" in check.line()
 
     def test_beta_tail_identity(self, monkeypatch):
-        monkeypatch.setattr(verify, "beta_tail", _planted(
-            verify.beta_tail, lambda a, b, y: (a == 7) & (b == 9) & _at_half(y)))
+        monkeypatch.setattr(distmath, "beta_tail", _planted(
+            distmath.beta_tail, lambda a, b, y: (a == 7) & (b == 9) & _at_half(y)))
         check = identities_suite().checks[0]
         self._fails(check)
         assert check.detail == "at alpha=7 beta=9 y=0.50"
 
     def test_binomial_cdf_at_zero(self, monkeypatch):
-        monkeypatch.setattr(verify, "binomial_cdf", _planted(
-            verify.binomial_cdf, lambda n, p, k: n == 17))
+        monkeypatch.setattr(distmath, "binomial_cdf", _planted(
+            distmath.binomial_cdf, lambda n, p, k: n == 17))
         self._fails(identities_suite().checks[1])
 
     def test_lemma_chain(self, monkeypatch):
-        real = verify.expected_inverse_tail
-        monkeypatch.setattr(verify, "expected_inverse_tail", lambda pmf, y: (
+        real = distmath.expected_inverse_tail
+        monkeypatch.setattr(distmath, "expected_inverse_tail", lambda pmf, y: (
             math.nan if len(pmf) == 4 and _at_half(y) else real(pmf, y)))
         check = _lemma_chain_check(np.random.default_rng(20240601), vectors_per_j=2)
         self._fails(check)
         assert check.detail == "worst margin at j=3 y=0.5 (pb vs mean)"
 
     def test_roos_dominance(self, monkeypatch):
-        real, calls = verify.roos_tv_bound, []
+        real, calls = distmath.roos_tv_bound, []
 
         def bound(probs, mu):
             calls.append(mu)
             return math.nan if len(calls) == 3 else real(probs, mu)
 
-        monkeypatch.setattr(verify, "roos_tv_bound", bound)
+        monkeypatch.setattr(distmath, "roos_tv_bound", bound)
         self._fails(_roos_dominance_check(np.random.default_rng(20240603), cases=20))
 
     def test_binomial_dominance(self, monkeypatch):
-        monkeypatch.setattr(verify, "binomial_cdf", _planted(
-            verify.binomial_cdf, lambda n, p, k: n == 17))
+        monkeypatch.setattr(distmath, "binomial_cdf", _planted(
+            distmath.binomial_cdf, lambda n, p, k: n == 17))
         self._fails(_binomial_dominance_check())
 
     def test_beta_ordering(self, monkeypatch):
-        monkeypatch.setattr(verify, "beta_tail", _planted(
-            verify.beta_tail, lambda a, b, y: (a == 7) & (b == 10) & _at_half(y)))
+        monkeypatch.setattr(distmath, "beta_tail", _planted(
+            distmath.beta_tail, lambda a, b, y: (a == 7) & (b == 10) & _at_half(y)))
         self._fails(_beta_ordering_check())
 
     def test_window_statistics(self, monkeypatch):
