@@ -63,8 +63,8 @@ sys.dont_write_bytecode = True
 
 PAIRS = 10
 HORIZON = 10_000
-# 8 and 9 sit either side of the largest K at which Beta-TS draws per arm
-# (``srrb.policies._PER_ARM_DRAWS``)
+# 8 and 9 sit either side of the largest K at which the policies keep list
+# index inputs and Beta-TS draws per arm (``srrb.policies._LIST_ARMS``)
 ARMS = (2, 8, 9, 15, 100)
 RUNS = 2
 # kind -> the rest of its PolicyConfig, as in the run_k15 workload

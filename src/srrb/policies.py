@@ -8,16 +8,16 @@ with rounds numbered from 1 and strictly sequential.  Window statistics
 over the last ``window`` rounds are kept in a ring of past pulls with O(1)
 eviction, so an update costs O(1) and a selection O(K), regardless of the
 window length.  Counts and sums are Python scalars, summed bit for bit
-as numpy would.  Each kind caches two index inputs per arm in float
-lists; ``update`` refreshes them for the pulled and the evicted arm only,
-and ``_index`` reads them with the IEEE operations of the whole-array
-formula, in its order.  A kind is one ``_KINDS`` row, an ``_index`` and a
-``_refresh``.
+as numpy would.  Each kind caches two index inputs per arm; ``update``
+refreshes them for the pulled and the evicted arm only.  A kind is one
+``_KINDS`` row, an ``_index`` and a ``_refresh``.
 
-Beta-TS draws with one scalar ``rng.beta`` call per arm up to
-``_PER_ARM_DRAWS`` arms; above that, with one array call on inputs it
-keeps in arrays, as a list argument costs a conversion per call.  Both
-make the same draws, in arm order, from the same generator state.
+Up to ``_LIST_ARMS`` arms the inputs are Python lists and ``_index`` works
+arm by arm: list comprehensions with the IEEE operations of the
+whole-array formula in its order, and one scalar ``rng.beta`` call per
+arm for Beta-TS.  Above that they are numpy arrays and ``_index`` makes
+whole-array calls, whose fixed cost the arms then outweigh.  Both give
+the same bits, and the same draws in arm order from the same generator.
 """
 
 from __future__ import annotations
@@ -41,9 +41,9 @@ __all__ = [
     "POLICY_KINDS",
 ]
 
-# the largest K at which Beta-TS draws per arm; per-arm and array draws
-# cost the same at K of about 12 to 15
-_PER_ARM_DRAWS = 8
+# the largest K at which the index inputs are lists and Beta-TS draws per
+# arm; per-arm and array draws cost the same at K of about 12 to 15
+_LIST_ARMS = 8
 
 
 def default_precision_scale(law: RewardLaw) -> float:
@@ -191,8 +191,8 @@ class Policy:
         self._ring: list[tuple[int, float]] = []
         self._counts = [0] * num_arms
         self._sums = [0.0] * num_arms
-        self._p = [1.0] * num_arms  # the kind's per-arm index inputs (Beta(1, 1) if empty)
-        self._q = [1.0] * num_arms
+        ones = [1.0] * num_arms if num_arms <= _LIST_ARMS else np.ones(num_arms)
+        self._p, self._q = ones, ones.copy()  # the kind's index inputs (Beta(1, 1) if empty)
         self._empty = num_arms
         self._rounds_done = 0
         self._forced_until = num_arms * config.forced_pulls
@@ -273,13 +273,8 @@ class BetaSlidingWindowTS(Policy):
     pulls_empty_arms = False
     binary_rewards = True
 
-    def __init__(self, config: PolicyConfig, num_arms: int, horizon: int, rng: np.random.Generator):
-        super().__init__(config, num_arms, horizon, rng)
-        if num_arms > _PER_ARM_DRAWS:  # the array draw would convert lists every round
-            self._p, self._q = np.ones(num_arms), np.ones(num_arms)
-
     def _index(self, t: int) -> list:
-        if self.num_arms <= _PER_ARM_DRAWS:
+        if self.num_arms <= _LIST_ARMS:
             return list(map(self.rng.beta, self._p, self._q))
         return self.rng.beta(self._p, self._q).tolist()
 
@@ -295,8 +290,10 @@ class GaussianSlidingWindowTS(Policy):
 
     def _index(self, t: int) -> list:
         # bit-identical to rng.normal(means, scales) at a fraction of its cost
-        noise = self.rng.standard_normal(self.num_arms).tolist()
-        return [p + q * z for p, q, z in zip(self._p, self._q, noise)]
+        noise = self.rng.standard_normal(self.num_arms)
+        if self.num_arms <= _LIST_ARMS:
+            return [p + q * z for p, q, z in zip(self._p, self._q, noise.tolist())]
+        return (self._p + self._q * noise).tolist()
 
     def _refresh(self, arm: int) -> None:
         n = self._counts[arm]
@@ -316,7 +313,9 @@ class SlidingWindowUCB(Policy):
 
     def _index(self, t: int) -> list:
         xi_log = self.param * math.log(min(t, self.window))
-        return [p + math.sqrt(xi_log / n) for p, n in zip(self._p, self._q)]
+        if self.num_arms <= _LIST_ARMS:
+            return [p + math.sqrt(xi_log / n) for p, n in zip(self._p, self._q)]
+        return (self._p + np.sqrt(xi_log / self._q)).tolist()
 
     def _refresh(self, arm: int) -> None:
         n = self._counts[arm]

@@ -11,7 +11,7 @@ import pytest
 
 from srrb.curves import BernoulliLaw, BoundedUniformLaw
 from srrb.policies import (
-    _PER_ARM_DRAWS,
+    _LIST_ARMS,
     POLICY_KINDS,
     PolicyConfig,
     default_precision_scale,
@@ -297,23 +297,6 @@ class TestWindowAccounting:
             np.testing.assert_array_equal(live_counts, counts[t])
             np.testing.assert_array_equal(live_sums, sums[t])
 
-    def test_out_of_order_rounds_rejected(self):
-        policy = build("beta_swts", 2, 10)
-        policy.update(0, 1.0, 1)
-        with pytest.raises(ValueError):
-            policy.update(0, 1.0, 1)
-        with pytest.raises(ValueError):
-            policy.update(0, 1.0, 3)
-
-    def test_round_past_horizon_rejected(self):
-        policy = build("beta_swts", 2, 2)
-        policy.update(0, 1.0, 1)
-        policy.update(0, 1.0, 2)
-        with pytest.raises(ValueError, match="past the horizon 2"):
-            policy.select_arm(3)
-        with pytest.raises(ValueError, match="sequential: expected 3, got 4"):
-            policy.select_arm(4)
-
     @pytest.mark.parametrize("kind, call, args, horizon, error, message", [
         (kind, *row) for kinds, *row in _REJECTED_CALLS for kind in kinds
     ])
@@ -580,17 +563,18 @@ class TestIndexCache:
     equal the whole-array formula bit for bit, on copies of one generator
     state.  Window 1 over one arm evicts the pulled arm every round; window
     7 over 15 arms empties and refills windows all the time; K =
-    ``_PER_ARM_DRAWS`` and one more put Beta-TS on either side of its
-    choice between per-arm and array draws, whose generator must end where
-    the oracle's does.  Integer parameters stay ``int`` in the config and
-    must give the same bits."""
+    ``_LIST_ARMS`` and one more put every kind on either side of its
+    choice between list and array index inputs (for Beta-TS, per-arm and
+    array draws, whose generator must end where the oracle's does).
+    Integer parameters stay ``int`` in the config and must give the same
+    bits."""
 
     HORIZON = 200
 
     @pytest.mark.parametrize("forced", [0, 1])
     @pytest.mark.parametrize(
         "num_arms, window",
-        [(1, 1), (3, 1), (15, 7), (4, 40), (_PER_ARM_DRAWS, 12), (_PER_ARM_DRAWS + 1, 12)],
+        [(1, 1), (3, 1), (15, 7), (4, 40), (_LIST_ARMS, 12), (_LIST_ARMS + 1, 12)],
     )
     @pytest.mark.parametrize(
         "kind, param",
