@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, fields
+from typing import Protocol
 
 import numpy as np
 
@@ -230,12 +231,20 @@ def curve_from_dict(spec: dict) -> RewardCurve:
     return _build(_CURVE_FAMILIES, "curve family", family, params)
 
 
+class UniformSource(Protocol):
+    """All a reward law may draw: ``random()``, the next uniform double on
+    [0, 1).  A numpy Generator is one, and so is ``run_single``'s stream."""
+
+    def random(self) -> float: ...
+
+
 class RewardLaw:
     """Reward distribution around the curve mean at each pull."""
 
     kind: str = ""
 
-    def sample(self, rng: np.random.Generator, mean: float) -> float:
+    def sample(self, rng: UniformSource, mean: float) -> float:
+        """A reward around ``mean``, drawn by ``rng.random()`` calls only."""
         raise NotImplementedError
 
     def subgaussian_scale_sq(self) -> float:
@@ -259,7 +268,7 @@ class BernoulliLaw(RewardLaw):
 
     kind = "bernoulli"
 
-    def sample(self, rng: np.random.Generator, mean: float) -> float:
+    def sample(self, rng: UniformSource, mean: float) -> float:
         return 1.0 if rng.random() < mean else 0.0
 
     def subgaussian_scale_sq(self) -> float:
@@ -289,7 +298,7 @@ class BoundedUniformLaw(RewardLaw):
         if not isinstance(self.hoeffding, bool):
             raise ValueError(f"hoeffding must be true or false, got {self.hoeffding!r}")
 
-    def sample(self, rng: np.random.Generator, mean: float) -> float:
+    def sample(self, rng: UniformSource, mean: float) -> float:
         if self.half_width == 0.0:
             return float(mean)
         return float(mean + self.half_width * (2.0 * rng.random() - 1.0))

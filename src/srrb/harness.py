@@ -100,9 +100,9 @@ class Aggregate:
 
 
 class _Uniforms:
-    """The reward laws' view of ``rng``: ``random()`` returns the doubles of
-    scalar ``rng.random()`` calls, in order, drawn ``_UNIFORM_BLOCK`` at a
-    time from the first call on."""
+    """The reward laws' :class:`~srrb.curves.UniformSource` over ``rng``:
+    ``random()`` returns the doubles of scalar ``rng.random()`` calls, in
+    order, drawn ``_UNIFORM_BLOCK`` at a time from the first call on."""
 
     def __init__(self, rng: np.random.Generator):
         blocks = iter(lambda: rng.random(_UNIFORM_BLOCK).tolist(), None)

@@ -122,14 +122,22 @@ def identities_suite() -> SuiteResult:
     worst, (i, j) = float(res.flat[at]), divmod(at, ys.size)
     worst_at = f"alpha={alphas[i]} beta={betas[i]} y={ys[j]:.2f}" if _exceeds(worst, 0.0) else ""
     suite.checks.append(
-        CheckResult("beta-tail identity vs quadrature", worst, 1e-10, f"at {worst_at}"))
+        CheckResult(
+            "beta-tail identity vs quadrature",
+            worst,
+            1e-10,
+            f"at {worst_at}",
+        )
+    )
 
     trials = np.arange(1, 41)[:, None]
     ys = np.array([0.1, 0.35, 0.6, 0.9])
     # the closed form in Python float arithmetic, as the scalar check had it
     closed = np.array([[(1.0 - y) ** j for y in ys.tolist()] for j in trials[:, 0].tolist()])
     worst = float(np.max(np.abs(binomial_cdf(trials, ys, 0) - closed)))
-    suite.checks.append(CheckResult("binomial cdf at zero equals (1-y)^(j+1)", worst, 1e-13))
+    suite.checks.append(
+        CheckResult("binomial cdf at zero equals (1-y)^(j+1)", worst, 1e-13)
+    )
     return suite
 
 
@@ -166,8 +174,12 @@ def _lemma_chain_check(rng: np.random.Generator, vectors_per_j: int = 200) -> Ch
                     if _exceeds(rel, worst):
                         worst, worst_at = rel, f"j={j} y={y:.1f} x={frac:.2f}*mean"
                     prev = e_x
-    return CheckResult("inverse-tail expectation ordering (exact enumeration)", worst, 1e-9,
-                       f"worst margin at {worst_at}")
+    return CheckResult(
+        "inverse-tail expectation ordering (exact enumeration)",
+        worst,
+        1e-9,
+        f"worst margin at {worst_at}",
+    )
 
 
 def _roos_dominance_check(rng: np.random.Generator, cases: int = 500) -> CheckResult:
@@ -279,8 +291,12 @@ def windows_suite(traces: int = 100) -> SuiteResult:
         dyadic = rng.integers(0, 1025, size=horizon) / 1024.0
         kind = ("beta_swts", "gauss_swgts", "sw_ucb")[trace % 3]
         rewards = binary if kind == "beta_swts" else dyadic
-        policy = make_policy(PolicyConfig(kind=kind, window=window), num_arms, horizon,
-                             np.random.default_rng(_WINDOWS_SEED + trace))
+        policy = make_policy(
+            PolicyConfig(kind=kind, window=window),
+            num_arms,
+            horizon,
+            np.random.default_rng(_WINDOWS_SEED + trace),
+        )
         counts_oracle, sums_oracle = recount_window_stats(pulls, rewards, num_arms, window)
         # the live lists after round t against recount row t, read as lists
         # a chunk of rounds at a time
@@ -296,8 +312,14 @@ def windows_suite(traces: int = 100) -> SuiteResult:
                 if live_counts != counts or live_sums != sums:
                     mismatches += 1
         checked += horizon
-    suite.checks.append(CheckResult("window statistics equal recounts", float(mismatches), 0.0,
-                                    f"{checked} round-level comparisons"))
+    suite.checks.append(
+        CheckResult(
+            "window statistics equal recounts",
+            float(mismatches),
+            0.0,
+            f"{checked} round-level comparisons",
+        )
+    )
     return suite
 
 

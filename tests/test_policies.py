@@ -261,6 +261,9 @@ _REJECTED_CALLS = [
     (_BETA, "update", (2, math.nan, 4), 10, ValueError, "rewards in {0, 1}, got nan"),
     (_NOT_BETA, "update", (2, math.nan, 4), 10, ValueError, f"{_SEQUENTIAL} 4"),
     (_NOT_BETA, "update", (2, math.nan, 3), 10, IndexError, "arm index 2 out of range"),
+    # a round both out of order and past the horizon is reported as out of order
+    (POLICY_KINDS, "select_arm", (4,), 2, ValueError, f"{_SEQUENTIAL} 4"),
+    (POLICY_KINDS, "update", (0, 1.0, 4), 2, ValueError, f"{_SEQUENTIAL} 4"),
 ]
 
 
