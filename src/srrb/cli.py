@@ -21,9 +21,9 @@ from . import InvalidInstanceError, __version__
 # numpy's bundled OpenBLAS starts a pool of busy-waiting threads when numpy
 # loads, yet srrb makes no multi-threaded BLAS call, so in every CLI process
 # the pool only burns a second core.  Set before any subcommand imports
-# numpy; forked pool workers inherit the one-thread library and spawned
-# ones the variable.  A value the caller set wins; ``import srrb`` leaves
-# the environment alone.
+# numpy; the workers that ``run`` and ``sweep`` fork inherit the one-thread
+# library.  A value the caller set wins; ``import srrb`` leaves the
+# environment alone.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 EXIT_OK = 0

@@ -92,6 +92,8 @@ class TestSubcommandImports:
         ("run", "srrb.harness",
          ["srrb.verify", "srrb.constructions", "concurrent.futures.process", "multiprocessing",
           "srrb.distmath", "fractions", "decimal"]),
+        ("sweep", "srrb.harness",
+         ["concurrent.futures", "multiprocessing", "srrb.verify", "srrb.distmath"]),
         ("verify", "srrb.verify",
          ["srrb.harness", "srrb.analytics", "srrb.constructions", "srrb.policies",
           "srrb.instance", "srrb.curves", "fractions", "decimal"]),
@@ -105,11 +107,14 @@ class TestSubcommandImports:
         instance.write_text(json.dumps(_INSTANCE))
         config = tmp_path / "experiment.json"
         config.write_text(json.dumps({"instance": _INSTANCE, "runs": 2,
-                                      "policies": [{"kind": "beta_swts"}]}))
+                                      "policies": [{"kind": "beta_swts"}],
+                                      "sweep": {"axis": "forced_pulls", "grid": [0, 1]}}))
         argv = {
             "analyze": ["analyze", str(instance)],
             "run": ["run", "--config", str(config), "--out", str(tmp_path / "o"),
                     "--threads", "1"],
+            "sweep": ["sweep", "--config", str(config), "--out", str(tmp_path / "o"),
+                      "--threads", "2"],
             "verify": ["verify", "--suite", "identities"],
             "verify-windows": ["verify", "--suite", "windows"],
         }.get(command, [command])
