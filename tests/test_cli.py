@@ -698,3 +698,69 @@ class TestLowerBound:
         assert main(["lower-bound", *argv, "--out", str(out)]) == 0
         digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
         assert digests == self.DIGESTS[arms, sigma_bar, horizon]
+
+
+class TestSimulationBytes:
+    """sha256 of every file ``run`` and ``sweep`` write on the demo config,
+    and ``run`` on the deterministic lower-bound base instance (every arm a
+    bounded-uniform law of half width 0): a change to the reward laws or
+    the simulation round keeps them byte for byte."""
+
+    DEMO = Path(__file__).resolve().parent.parent / "demo" / "experiment.json"
+
+    DIGESTS = {
+        "run": {
+            "beta_swts.csv": "6186ad06f5bc1669fa2b289d9a293616e1fd912fb219d7701802e73952fc24f4",
+            "beta_ts.csv": "eabfe697438f887d00e70eac80b6cf7d190107ca0047d6de5c9e955abc3a7c66",
+            "et_beta_ts.csv": "9cfa279e6c8c8184ca3e737a69837dfcbb4c19bf90fc075e6e86ec53029fc6ae",
+            "gauss_ts.csv": "ff64229c73ac7feac68b0ebe2fd213ed0c6ff38f826ab21adbc361bb5a805805",
+            "results.json": "1df55206ece1d26e6a2553f0d5ae1c5e08a76b163b98c63e06d09d1a2d2135c1",
+            "sw_ucb.csv": "15ca5e252806e451821a82b490d13d8079440994c9c6249a44b5ea42bd6ca8db",
+            "ucb1.csv": "3b4da60d3fd1f934ba89f79e7a3f5e7ba577f02f15d02325e5520f48a6e3a111",
+        },
+        "sweep": {
+            "beta_swts_sweep.csv": "feef5e04a707bc621cb65188c6ad7c3d6de169b57c3c6ac997cfc9bd200bf73f",
+            "beta_ts_sweep.csv": "b58573b562eea08ed12578cd0b5046eb45e548f679b9e7ff260e31d3bd0bc4e6",
+            "et_beta_ts_sweep.csv": "b58573b562eea08ed12578cd0b5046eb45e548f679b9e7ff260e31d3bd0bc4e6",
+            "gauss_ts_sweep.csv": "e15835aedb927b9aaa2f3dc8ab5adbfcd7069e3b4608bebe5eb262aad3b1b46f",
+            "sw_ucb_sweep.csv": "518667da72cd2d9bae4a22922b73977b07591d7fd9c6a32d1a8e854dcf383af2",
+            "sweep.json": "1dcd86f3de4460df4ac94627dbb16e2ce0ce8d979a08652177553026c7abef58",
+            "ucb1_sweep.csv": "56812f51b113f26a75b30adfd8238299e9e54704310da5f38c1aae02ff9e3213",
+        },
+        "lower_bound_run": {
+            "gauss_swgts.csv": "61f0ee41200953600d2afef0a67285563aa125c5592c7cf0e32970649dc2f04a",
+            "results.json": "2097572338f792a2bfa5dc4934c4ba0e0137c08a7be248b3b4f017a96f030537",
+            "sw_ucb.csv": "976c92f32f48e9324185a15ea37336d5eb021502921946a2a54549e1bd321e94",
+            "ucb1.csv": "4c45857e4c7fe65f5b09def8b87c665d94de02256af45ff167ad7547ada1410e",
+        },
+    }
+
+    @staticmethod
+    def _digests(out):
+        return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+
+    def test_demo_run_and_sweep(self, tmp_path):
+        config = str(self.DEMO)
+        assert main(["run", "--config", config, "--runs", "2", "--out", str(tmp_path / "run")]) == 0
+        assert main(["sweep", "--config", config, "--runs", "1", "--out", str(tmp_path / "sweep")]) == 0
+        assert self._digests(tmp_path / "run") == self.DIGESTS["run"]
+        assert self._digests(tmp_path / "sweep") == self.DIGESTS["sweep"]
+
+    def test_deterministic_lower_bound_instance(self, tmp_path):
+        lb = tmp_path / "lb"
+        argv = ["--arms", "3", "--sigma-bar", "8", "--horizon", "200", "--out", str(lb)]
+        assert main(["lower-bound", *argv]) == 0
+        config = lb / "experiment.json"
+        config.write_text(json.dumps({
+            "instance": {"file": "instance_base.json"},
+            "runs": 3,
+            "master_seed": 5,
+            "policies": [
+                {"kind": "gauss_swgts", "forced_pulls": 1},
+                {"kind": "ucb1"},
+                {"kind": "sw_ucb"},
+            ],
+        }))
+        out = tmp_path / "run"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        assert self._digests(out) == self.DIGESTS["lower_bound_run"]
