@@ -8,6 +8,9 @@ extend past their table as a constant.
 Every family stores its parameters as floats and evaluates only through
 ``mu_array``, which :class:`~srrb.instance.Instance` calls once per arm to
 build its table of mu(1..T); everything downstream reads that table.
+
+A reward law is a pure map from one uniform u on [0, 1) and the curve
+mean to a reward; it draws nothing itself.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, fields
-from typing import Protocol
 
 import numpy as np
 
@@ -231,20 +233,13 @@ def curve_from_dict(spec: dict) -> RewardCurve:
     return _build(_CURVE_FAMILIES, "curve family", family, params)
 
 
-class UniformSource(Protocol):
-    """All a reward law may draw: ``random()``, the next uniform double on
-    [0, 1).  A numpy Generator is one, and so is ``run_single``'s stream."""
-
-    def random(self) -> float: ...
-
-
 class RewardLaw:
     """Reward distribution around the curve mean at each pull."""
 
     kind: str = ""
 
-    def sample(self, rng: UniformSource, mean: float) -> float:
-        """A reward around ``mean``, drawn by ``rng.random()`` calls only."""
+    def sample(self, u: float, mean: float) -> float:
+        """The reward around ``mean`` that the uniform ``u`` in [0, 1) maps to."""
         raise NotImplementedError
 
     def subgaussian_scale_sq(self) -> float:
@@ -264,12 +259,12 @@ class RewardLaw:
 
 @dataclass(frozen=True)
 class BernoulliLaw(RewardLaw):
-    """Reward is 1 with probability mu(n), else 0."""
+    """Reward 1 when u < mu(n), else 0: 1 with probability mu(n)."""
 
     kind = "bernoulli"
 
-    def sample(self, rng: UniformSource, mean: float) -> float:
-        return 1.0 if rng.random() < mean else 0.0
+    def sample(self, u: float, mean: float) -> float:
+        return 1.0 if u < mean else 0.0
 
     def subgaussian_scale_sq(self) -> float:
         return 0.25
@@ -284,7 +279,9 @@ class BoundedUniformLaw(RewardLaw):
 
     The variance proxy is w^2/3 (the exact variance; the uniform law is
     strictly subgaussian), or the Hoeffding value w^2 from the support
-    width when ``hoeffding`` is set.  w = 0 gives deterministic rewards.
+    width when ``hoeffding`` is set.  w = 0 gives deterministic rewards:
+    adding the zero w * (2u - 1) returns the mean bit for bit, but for a
+    mean of -0.0, which may come back as +0.0.
     """
 
     half_width: float
@@ -298,10 +295,8 @@ class BoundedUniformLaw(RewardLaw):
         if not isinstance(self.hoeffding, bool):
             raise ValueError(f"hoeffding must be true or false, got {self.hoeffding!r}")
 
-    def sample(self, rng: UniformSource, mean: float) -> float:
-        if self.half_width == 0.0:
-            return float(mean)
-        return float(mean + self.half_width * (2.0 * rng.random() - 1.0))
+    def sample(self, u: float, mean: float) -> float:
+        return mean + self.half_width * (2.0 * u - 1.0)
 
     def subgaussian_scale_sq(self) -> float:
         w = self.half_width

@@ -102,16 +102,6 @@ class Aggregate:
         }
 
 
-class _Uniforms:
-    """The reward laws' :class:`~srrb.curves.UniformSource` over ``rng``:
-    ``random()`` returns the doubles of scalar ``rng.random()`` calls, in
-    order, drawn ``_UNIFORM_BLOCK`` at a time from the first call on."""
-
-    def __init__(self, rng: np.random.Generator):
-        blocks = iter(lambda: rng.random(_UNIFORM_BLOCK).tolist(), None)
-        self.random = itertools.chain.from_iterable(blocks).__next__
-
-
 def run_single(
     instance: Instance,
     policy: Policy | PolicyConfig,
@@ -122,12 +112,14 @@ def run_single(
 ) -> RunRecord:
     """Simulate one trajectory.
 
-    Each round the policy selects an arm, the environment samples a reward
-    at that arm's lifetime pull count (rested semantics), and the policy
-    is updated.  Rewards come from a run-local stream derived from
-    ``seed`` and drawn in blocks; when a :class:`PolicyConfig` is given the
-    policy stream is a sibling child of the same seed, so the whole record
-    is a deterministic function of (instance, policy, horizon, seed).
+    Each round the policy selects an arm, the arm's law maps the round's
+    uniform to a reward at the arm's lifetime pull count (rested
+    semantics), and the policy is updated.  Round t takes the t-th double
+    that scalar ``random()`` calls on a run-local generator derived from
+    ``seed`` would give, drawn in blocks; when a :class:`PolicyConfig` is
+    given the policy stream is a sibling child of the same seed, so the
+    whole record is a deterministic function of (instance, policy,
+    horizon, seed).
     """
     instance = instance.at_horizon(horizon)
     horizon = instance.horizon
@@ -137,7 +129,8 @@ def run_single(
         policy = make_policy(
             policy, instance.num_arms, horizon, np.random.default_rng(policy_ss), laws
         )
-    uniforms = _Uniforms(np.random.default_rng(reward_ss))
+    reward_rng = np.random.default_rng(reward_ss)
+    blocks = iter(lambda: reward_rng.random(_UNIFORM_BLOCK).tolist(), None)
     grid = evaluation_grid(horizon, stride)
 
     # bound once; each call still goes to the objects given, proxies included
@@ -145,11 +138,11 @@ def run_single(
     samplers = [law.sample for law in laws]
     counts = [0] * instance.num_arms
     pulls = []
-    for t in range(1, horizon + 1):
+    for t, u in zip(range(1, horizon + 1), itertools.chain.from_iterable(blocks)):
         arm = select_arm(t)
         n = counts[arm] + 1
         counts[arm] = n
-        update(arm, samplers[arm](uniforms, expected_reward(arm, n)), t)
+        update(arm, samplers[arm](u, expected_reward(arm, n)), t)
         pulls.append(arm)
 
     pulls = np.array(pulls, dtype=np.int32)

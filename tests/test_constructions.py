@@ -65,10 +65,14 @@ class TestLowerBoundPair:
         assert boost == pytest.approx(1.0 - (2 * internal + 1) / (2 * horizon), abs=1e-15)
 
     def test_instances_are_deterministic_laws(self):
+        # every arm's law maps any uniform to the arm's mean, bit for bit
         pair = lower_bound_instances(3, 8, 100)
-        rng = np.random.default_rng(0)
-        arm = pair.base.arms[0]
-        assert arm.law.sample(rng, 0.37) == 0.37
+        uniforms = np.random.default_rng(0).random(100).tolist()
+        for inst in (pair.base, pair.boosted):
+            for i, arm in enumerate(inst.arms):
+                means = inst.expected_rewards(i).tolist()
+                rewards = [arm.law.sample(u, mean) for u, mean in zip(uniforms, means)]
+                assert np.array(rewards).tobytes() == np.array(means).tobytes()
 
     def test_boosted_arm_is_optimal_in_boosted(self):
         pair = lower_bound_instances(5, 20, 500)

@@ -174,18 +174,30 @@ class TestSerialization:
 
 
 class TestLaws:
+    """A law maps one uniform u on [0, 1) and the curve mean to a reward."""
+
+    UNIFORMS = np.random.default_rng(0).random(4000).tolist()
+
+    @pytest.mark.parametrize("mean", [0.3, 0.37, 0.5])
+    def test_bernoulli_pays_exactly_below_the_mean(self, mean):
+        law = BernoulliLaw()
+        assert law.sample(mean, mean) == 0.0
+        assert law.sample(math.nextafter(mean, 0), mean) == 1.0
+
     def test_bernoulli_samples_binary_with_exact_mean(self):
         law = BernoulliLaw()
-        rng = np.random.default_rng(0)
-        draws = [law.sample(rng, 0.3) for _ in range(4000)]
+        draws = [law.sample(u, 0.3) for u in self.UNIFORMS]
         assert set(draws) <= {0.0, 1.0}
         assert np.mean(draws) == pytest.approx(0.3, abs=0.03)
         assert law.subgaussian_scale_sq() == 0.25
 
+    def test_bounded_uniform_lowest_uniform_is_the_support_floor(self):
+        for width, mean in [(0.2, 0.5), (0.3, 0.35), (0.1, 0.9)]:
+            assert BoundedUniformLaw(half_width=width).sample(0.0, mean) == mean - width
+
     def test_bounded_uniform_support_and_mean(self):
         law = BoundedUniformLaw(half_width=0.2)
-        rng = np.random.default_rng(1)
-        draws = np.array([law.sample(rng, 0.5) for _ in range(4000)])
+        draws = np.array([law.sample(u, 0.5) for u in self.UNIFORMS])
         assert draws.min() >= 0.3 and draws.max() <= 0.7
         assert draws.mean() == pytest.approx(0.5, abs=0.01)
         assert law.subgaussian_scale_sq() == pytest.approx(0.2**2 / 3.0)
@@ -193,10 +205,11 @@ class TestLaws:
             pytest.approx(0.04)
         )
 
-    def test_zero_width_is_deterministic(self):
+    @pytest.mark.parametrize("mean", [0.0, 0.37, 1.0])
+    def test_zero_width_returns_the_mean_bit_for_bit(self, mean):
         law = BoundedUniformLaw(half_width=0.0)
-        rng = np.random.default_rng(2)
-        assert law.sample(rng, 0.37) == 0.37
+        for u in [0.0, 0.5, math.nextafter(1.0, 0), *self.UNIFORMS[:100]]:
+            assert law.sample(u, mean).hex() == mean.hex()
 
     def test_law_roundtrip(self):
         law = BoundedUniformLaw(half_width=0.1, hoeffding=True)

@@ -25,7 +25,6 @@ from srrb.curves import (
 from srrb.cli import main
 from srrb.harness import (
     _UNIFORM_BLOCK,
-    _Uniforms,
     child_seed,
     evaluation_grid,
     run_batch,
@@ -203,23 +202,28 @@ class TestRunSingle:
             assert record.final_regret <= wald_regret_bound(inst, record.pull_counts) + 1e-9
 
 
-class TestRewardStream:
-    """The laws draw from a stream of the reward generator's uniforms,
-    drawn a block at a time; it must make the draws scalar calls make."""
+class Recording:
+    """Policy proxy recording each round's (arm, reward)."""
 
-    def test_blocks_equal_scalar_draws(self):
-        blocked, scalar = np.random.default_rng(8), np.random.default_rng(8)
-        state = blocked.bit_generator.state
-        stream = _Uniforms(blocked)
-        assert blocked.bit_generator.state == state  # nothing drawn before the first call
-        draws = 3 * _UNIFORM_BLOCK
-        assert [stream.random() for _ in range(draws)] == [scalar.random() for _ in range(draws)]
-        assert blocked.bit_generator.state == scalar.bit_generator.state
+    def __init__(self, policy):
+        self.policy = policy
+        self.observed = []
+
+    def select_arm(self, t):
+        return self.policy.select_arm(t)
+
+    def update(self, arm, reward, t):
+        self.observed.append((arm, reward))
+        self.policy.update(arm, reward, t)
+
+
+class TestRewardStream:
+    """Round t maps the t-th uniform of the run's reward generator, drawn a
+    block at a time: the rounds must see what one scalar ``random()`` call
+    a round gives, deterministic arms included."""
 
     @pytest.mark.parametrize("kind", ["gauss_swgts", "ucb1", "sw_ucb"])
     def test_mixed_laws_match_a_scalar_reference_loop(self, kind):
-        # a Bernoulli arm and a uniform arm draw one uniform a sample; the
-        # deterministic arm (half width 0) draws none
         horizon = 3 * _UNIFORM_BLOCK
         inst = Instance(
             [Arm(TabulatedCurve([0.2 + n / 8000 for n in range(horizon)]), BernoulliLaw()),
@@ -228,21 +232,27 @@ class TestRewardStream:
             horizon,
         )
         config = PolicyConfig(kind=kind, window=200)
-        record = run_single(inst, config, seed=4, stride=1)
-
-        # the reference: one scalar reward_rng.random() call per drawn sample
         policy_ss, reward_ss = np.random.SeedSequence(4).spawn(2)
         laws = [arm.law for arm in inst.arms]
-        policy = make_policy(config, 3, horizon, np.random.default_rng(policy_ss), laws)
-        reward_rng = np.random.default_rng(reward_ss)
-        counts, pulls = [0, 0, 0], []
+
+        def policy():
+            return make_policy(config, 3, horizon, np.random.default_rng(policy_ss), laws)
+
+        recording = Recording(policy())
+        record = run_single(inst, recording, seed=4, stride=1)
+
+        # the reference: one scalar reward_rng.random() call every round
+        reference, reward_rng = policy(), np.random.default_rng(reward_ss)
+        counts, observed = [0, 0, 0], []
         for t in range(1, horizon + 1):
-            arm = policy.select_arm(t)
+            arm = reference.select_arm(t)
             counts[arm] += 1
-            mean = inst.expected_reward(arm, counts[arm])
-            policy.update(arm, laws[arm].sample(reward_rng, mean), t)
-            pulls.append(arm)
-        assert min(counts) > 0 and counts[0] + counts[1] > 2 * _UNIFORM_BLOCK
+            reward = laws[arm].sample(reward_rng.random(), inst.expected_reward(arm, counts[arm]))
+            reference.update(arm, reward, t)
+            observed.append((arm, reward))
+        assert min(counts) > 0
+        assert recording.observed == observed
+        pulls = [arm for arm, _ in observed]
         assert record.pulls.tolist() == pulls
         regret = np.concatenate(([0.0], pseudo_regret(inst, pulls)))
         assert record.regret.tobytes() == regret.tobytes()
