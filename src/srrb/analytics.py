@@ -261,7 +261,13 @@ def _tv_term(
     tv_trivial: bool,
 ) -> float:
     """Sum over j = forced .. sigma-1 of TV dissimilarity over the measure
-    change denominator.  j = 0 contributes nothing: both laws degenerate."""
+    change denominator.  j = 0 contributes nothing: both laws degenerate.
+
+    The sum is ``inf`` as soon as one summand overflows a double.  The Beta
+    flavor's factor (1 - y)^-(j+1) grows with j, so it checks its last
+    summand, j = sigma - 1, first: if that one overflows, the walk up from
+    j = start would end in ``inf`` too, and it is not taken.
+    """
     from .distmath import _pb_prefix_pmfs, binomial_pmf, binomial_pmfs, tv_distance
 
     star = instance.optimal_arm
@@ -270,7 +276,19 @@ def _tv_term(
     start = max(forced, 1)
     # the law compared with binomial_pmf(j, y_ref) for j = start .. sigma-1
     if flavor == "beta":
-        laws = (binomial_pmf(j, instance.avg_expected_reward(star, j)) for j in range(start, sigma))
+
+        def beta_law(j):
+            return binomial_pmf(j, instance.avg_expected_reward(star, j))
+
+        def log_beta_term(j, tv):
+            return math.log(tv) - (j + 1) * log_one_minus
+
+        if start < sigma:
+            # a fresh reference pmf has the bits of the one the walk carries
+            tv = tv_distance(beta_law(sigma - 1), binomial_pmf(sigma - 1, y_ref))
+            if tv > 0.0 and log_beta_term(sigma - 1, tv) > 709.0:
+                return math.inf
+        laws = map(beta_law, range(start, sigma))
     else:
         # success-count law of the optimal arm after j pulls
         walk = _pb_prefix_pmfs(instance.expected_rewards(star)[: sigma - 1])
@@ -281,7 +299,7 @@ def _tv_term(
         if tv == 0.0:
             continue
         if flavor == "beta":
-            log_term = math.log(tv) - (j + 1) * log_one_minus
+            log_term = log_beta_term(j, tv)
             if log_term > 709.0:
                 return math.inf
             term = math.exp(log_term)

@@ -19,6 +19,7 @@ from srrb.analytics import (
 from srrb.constructions import (
     lower_bound_instances,
     persistent_gap_pair,
+    random_rising_instance,
     vanishing_gap_pair,
 )
 from srrb.curves import (
@@ -27,7 +28,7 @@ from srrb.curves import (
     ConstantCurve,
     TabulatedCurve,
 )
-from srrb.distmath import binomial_pmf, pb_pmf, tv_distance
+from srrb.distmath import binomial_pmf, binomial_pmfs, pb_pmf, tv_distance
 from srrb.instance import Arm, Instance
 
 
@@ -430,6 +431,82 @@ class TestBoundTerms:
         inst = Instance.from_dict(getattr(self, doc))
         terms = pull_bound_terms(inst, sigma=sigma, flavor=flavor)
         assert [term_iii.hex() for _, _, term_iii in terms.per_arm.values()] == [expected]
+
+    # a linear_capped arm against a constant, whose Beta term overflows near j = 1400
+    CAP_DOC = {
+        "horizon": 4000,
+        "arms": [
+            {"family": "linear_capped", "params": {"slope": 0.001, "cap": 0.45},
+             "law": "bernoulli", "law_params": {}},
+            {"family": "constant", "params": {"value": 0.2}, "law": "bernoulli", "law_params": {}},
+        ],
+    }
+
+    @staticmethod
+    def walked_beta_tv_term(inst, sigma, forced):
+        """Term (iii) of the Beta flavor by the plain walk: every summand
+        from j = max(forced, 1) up, stopping at the first that overflows."""
+        star = inst.optimal_arm
+        y_ref = inst.avg_expected_reward(star, sigma)
+        log_one_minus = math.log1p(-y_ref) if y_ref < 1.0 else -math.inf
+        start = max(forced, 1)
+        total = 0.0
+        references = binomial_pmfs(y_ref, start, sigma)
+        for j in range(start, sigma):
+            tv = tv_distance(binomial_pmf(j, inst.avg_expected_reward(star, j)), next(references))
+            if tv == 0.0:
+                continue
+            log_term = math.log(tv) - (j + 1) * log_one_minus
+            if log_term > 709.0:
+                return math.inf
+            total += math.exp(log_term)
+        return total
+
+    @staticmethod
+    def exit_cases():
+        """(name, instance, sigma, forced); a sigma of None is the
+        instance's complexity index, the smallest sigma allowed."""
+        cases = []
+        for name, inst, sigmas in [
+            ("rising_toy", rising_toy(1000), (None, 40, 300, 500, 1000)),
+            ("BENCH_DOC", Instance.from_dict(TestBoundTerms.BENCH_DOC), (None, 900, 1000)),
+            ("LOW_DOC", Instance.from_dict(TestBoundTerms.LOW_DOC), (None, 600, 1000)),
+            ("CAP_DOC", Instance.from_dict(TestBoundTerms.CAP_DOC), (500, 1500, 2000)),
+            ("random seed 0", random_rising_instance(1000, 3, seed=0), (None, 300, 600, 1000)),
+            ("random seed 3", random_rising_instance(1000, 3, seed=3), (None, 300, 600, 1000)),
+        ]:
+            low = int(sigma_complexity(inst).overall)
+            forced_grid = (0, 2) if name.startswith("random") else (0,)
+            cases += [(name, inst, sigma or low, forced) for sigma in sigmas for forced in forced_grid]
+        cases.append(("rising_toy forced = sigma", rising_toy(1000), 500, 500))
+        return cases
+
+    def test_beta_exit_matches_the_walk(self):
+        # both overflowing (inf) and finite sums occur; every one keeps its bits
+        seen = set()
+        for name, inst, sigma, forced in self.exit_cases():
+            terms = pull_bound_terms(inst, sigma=sigma, forced=forced, flavor="beta")
+            walked = self.walked_beta_tv_term(inst, sigma, forced)
+            got = {term_iii.hex() for _, _, term_iii in terms.per_arm.values()}
+            assert got == {walked.hex()}, (name, sigma, forced)
+            seen.add(math.isinf(walked))
+        assert seen == {False, True}
+
+    def test_overflowing_beta_term_builds_two_pmfs(self, monkeypatch):
+        import srrb.distmath as distmath
+
+        built = []
+        real = distmath._pmf_from_anchor
+
+        def counting(*args):
+            built.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(distmath, "_pmf_from_anchor", counting)
+        inst = Instance.from_dict(self.BENCH_DOC)
+        terms = pull_bound_terms(inst, sigma=1200, flavor="beta")
+        assert [term_iii for _, _, term_iii in terms.per_arm.values()] == [math.inf]
+        assert len(built) <= 2
 
     @pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf])
     def test_precision_scale_must_be_finite_and_positive(self, scale):
