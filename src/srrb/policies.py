@@ -43,8 +43,8 @@ __all__ = [
 
 # the largest K at which the index inputs are lists and Beta-TS draws per
 # arm: timed per run_single round, lists save Beta-TS 2 µs or more up to
-# K = 13 and about 0.5 to 1.9 µs at 14, where they already cost a Gaussian
-# round 0.5 to 1.3 µs; per-arm and array draws cost about the same at 15
+# K = 13 and 0.5 to 1.9 µs at 14, where they cost a Gaussian round up to
+# 1.3 µs (0.9 at 13); per-arm and array draws cost about the same at 15
 _LIST_ARMS = 13
 
 

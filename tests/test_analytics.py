@@ -477,7 +477,9 @@ class TestBoundTerms:
         ]:
             low = int(sigma_complexity(inst).overall)
             forced_grid = (0, 2) if name.startswith("random") else (0,)
-            cases += [(name, inst, sigma or low, forced) for sigma in sigmas for forced in forced_grid]
+            cases += [
+                (name, inst, sigma or low, forced) for sigma in sigmas for forced in forced_grid
+            ]
         cases.append(("rising_toy forced = sigma", rising_toy(1000), 500, 500))
         return cases
 

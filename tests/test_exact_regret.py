@@ -73,7 +73,9 @@ def test_round_robin_regret_is_the_direct_sum():
         assert expected_regret(inst, kind, 12, param) == pytest.approx(direct, rel=1e-12)
 
 
-@pytest.mark.parametrize("a0, b0, a1, b1", [(1, 1, 1, 1), (3, 2, 5, 7), (10, 3, 2, 9), (1, 12, 13, 1)])
+@pytest.mark.parametrize(
+    "a0, b0, a1, b1", [(1, 1, 1, 1), (3, 2, 5, 7), (10, 3, 2, 9), (1, 12, 13, 1)]
+)
 def test_beta_choice_matches_quadrature(a0, b0, a1, b1):
     numeric, _ = integrate.quad(
         lambda x: stats.beta.pdf(x, a0, b0) * stats.beta.cdf(x, a1, b1), 0.0, 1.0, epsabs=1e-14
