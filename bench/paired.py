@@ -140,7 +140,7 @@ def in_process_timer(srrb):
 
         def runs():
             for seed in range(RUNS):
-                srrb.run_single(instances[k], configs[kind], seed=seed, record_pulls=False)
+                srrb.run_single(instances[k], configs[kind], seed=seed)
 
         return at_reference_speed(runs) / RUNS / HORIZON * 1e6
 

@@ -39,7 +39,6 @@ _EXPORTS = {
         "build_report",
         "gaps",
         "growth_index",
-        "pseudo_regret",
         "pull_bound_terms",
         "sigma_complexity",
         "wald_regret_bound",

@@ -23,7 +23,6 @@ __all__ = [
     "windowed_sigma_complexity",
     "WindowedSigmaReport",
     "growth_index",
-    "pseudo_regret",
     "wald_regret_bound",
     "pull_bound_terms",
     "BoundTerms",
@@ -135,28 +134,6 @@ def growth_index(instance: Instance, m: int, q: float) -> float:
         np.maximum(increments, np.diff(instance.expected_rewards(i)[:m]), out=increments)
     increments = np.maximum(increments, 0.0)  # guard tiny negative rounding
     return float(np.power(increments, q).sum())
-
-
-def pseudo_regret(instance: Instance, pulls) -> np.ndarray:
-    """Cumulative pseudo-regret trajectory of a pull sequence.
-
-    Entry t - 1 holds sum_{s<=t} mu*(s) - sum_{s<=t} mu_{I_s}(N_{I_s,s})
-    where N counts lifetime pulls (rested semantics).  At t = T this is
-    the per-trajectory pseudo-regret.
-    """
-    pulls = np.asarray(pulls, dtype=np.int64)
-    if pulls.size > instance.horizon:
-        raise ValueError("pull sequence longer than the horizon")
-    if pulls.size and (pulls.min() < 0 or pulls.max() >= instance.num_arms):
-        raise ValueError("invalid arm index in pull sequence")
-    got = np.empty(pulls.size)
-    for i in range(instance.num_arms):
-        # the n-th round that pulls arm i collects mu_i(n)
-        mine = pulls == i
-        got[mine] = instance.expected_rewards(i)[: np.count_nonzero(mine)]
-    best = instance.expected_rewards(instance.optimal_arm)[: pulls.size]
-    # cumsum adds in sequence, so each entry is bit for bit a round loop's running sum
-    return np.cumsum(best - got)
 
 
 def wald_regret_bound(instance: Instance, pull_counts) -> float:

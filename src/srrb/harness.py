@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analytics import pseudo_regret, wald_regret_bound
+from .analytics import wald_regret_bound
 from .curves import _real
 from .instance import Instance
 from .policies import Policy, PolicyConfig, make_policy
@@ -67,7 +67,6 @@ class RunRecord:
     grid: np.ndarray  # recorded round indices, starting at 0
     regret: np.ndarray  # cumulative pseudo-regret at each grid round
     pull_counts: np.ndarray  # final lifetime pulls per arm
-    pulls: np.ndarray | None = None  # full pull sequence (arm per round)
 
     @property
     def final_regret(self) -> float:
@@ -113,13 +112,15 @@ def run_single(
     """Simulate one trajectory.
 
     Each round the policy selects an arm, the arm's law maps the round's
-    uniform to a reward at the arm's lifetime pull count (rested
-    semantics), and the policy is updated.  Round t takes the t-th double
-    that scalar ``random()`` calls on a run-local generator derived from
+    uniform to a reward at the arm's mean mu_i(n) for its lifetime pull
+    count n (rested semantics), and the policy is updated.  The regret is
+    the running sum of mu*(t) - mu_i(n), mu* the optimal arm's curve of
+    the instance cut to ``horizon``.  Round t takes the t-th double that
+    scalar ``random()`` calls on a run-local generator derived from
     ``seed`` would give, drawn in blocks; when a :class:`PolicyConfig` is
     given the policy stream is a sibling child of the same seed, so the
     whole record is a deterministic function of (instance, policy,
-    horizon, seed).
+    horizon, seed).  ``record_pulls`` is accepted and ignored.
     """
     instance = instance.at_horizon(horizon)
     horizon = instance.horizon
@@ -137,27 +138,24 @@ def run_single(
     select_arm, update, expected_reward = policy.select_arm, policy.update, instance.expected_reward
     samplers = [law.sample for law in laws]
     counts = [0] * instance.num_arms
-    pulls = []
+    means = []
     for t, u in zip(range(1, horizon + 1), itertools.chain.from_iterable(blocks)):
         arm = select_arm(t)
         n = counts[arm] + 1
         counts[arm] = n
-        update(arm, samplers[arm](u, expected_reward(arm, n)), t)
-        pulls.append(arm)
+        mean = expected_reward(arm, n)
+        update(arm, samplers[arm](u, mean), t)
+        means.append(mean)
 
-    pulls = np.array(pulls, dtype=np.int32)
-    regret = np.concatenate(([0.0], pseudo_regret(instance, pulls)))
-    return RunRecord(
-        grid=grid,
-        regret=regret[grid],
-        pull_counts=np.array(counts, dtype=np.int64),
-        pulls=pulls if record_pulls else None,
-    )
+    regret = np.zeros(horizon + 1)
+    # cumsum adds in sequence, so each entry is bit for bit a round loop's running sum
+    np.cumsum(instance.expected_rewards(instance.optimal_arm) - means, out=regret[1:])
+    return RunRecord(grid=grid, regret=regret[grid], pull_counts=np.array(counts, dtype=np.int64))
 
 
 def _checked_run(instance, stride, config, run_index, seed) -> RunRecord:
     """One run of a batch, checked against its pull-count regret bound."""
-    record = run_single(instance, config, seed=seed, record_pulls=False, stride=stride)
+    record = run_single(instance, config, seed=seed, stride=stride)
     bound = wald_regret_bound(instance, record.pull_counts)
     if record.final_regret > bound + 1e-9:
         raise AssertionError(
@@ -204,7 +202,7 @@ def run_batches(
     for config, _, _ in batches:
         config.resolve(instance.horizon, laws)
     tasks = [(cfg, r, child_seed(seed, r)) for cfg, runs, seed in batches for r in range(runs)]
-    workers = min(parallelism, len(tasks)) if hasattr(os, "fork") else 1
+    workers = min(parallelism, max(len(tasks), 1)) if hasattr(os, "fork") else 1
     children = []  # (pid, read end of its pipe) of each forked worker not yet reaped
     try:
         for w in range(1, workers):

@@ -159,7 +159,7 @@ def test_criterion_7_per_run_wald_inequality():
     total = 0
     for case_index, (inst, cfg) in enumerate(_wald_cases()):
         for r in range(250):
-            record = run_single(inst, cfg, seed=1_000_000 * case_index + r, record_pulls=False)
+            record = run_single(inst, cfg, seed=1_000_000 * case_index + r)
             total += 1
             if record.final_regret > wald_regret_bound(inst, record.pull_counts) + 1e-9:
                 violations += 1

@@ -10,7 +10,6 @@ from srrb.analytics import (
     build_report,
     gaps,
     growth_index,
-    pseudo_regret,
     pull_bound_terms,
     sigma_complexity,
     wald_regret_bound,
@@ -29,11 +28,19 @@ from srrb.curves import (
     TabulatedCurve,
 )
 from srrb.distmath import binomial_pmf, binomial_pmfs, pb_pmf, tv_distance
+from srrb.harness import run_single
 from srrb.instance import Arm, Instance
+from test_harness import Replay
 
 
 def stationary(values, horizon=100):
     return Instance([Arm(ConstantCurve(v), BernoulliLaw()) for v in values], horizon)
+
+
+def replayed_regret(inst, pulls):
+    """The regret trajectory of ``run_single`` pulling ``pulls``, from
+    round 1 on."""
+    return run_single(inst, Replay(pulls), stride=1).regret[1:]
 
 
 def rising_toy(horizon=40):
@@ -212,19 +219,19 @@ class TestGrowthIndex:
 class TestPseudoRegret:
     def test_always_optimal_is_zero(self):
         inst = rising_toy()
-        trajectory = pseudo_regret(inst, [inst.optimal_arm] * inst.horizon)
+        trajectory = replayed_regret(inst, [inst.optimal_arm] * inst.horizon)
         np.testing.assert_allclose(trajectory, 0.0, atol=1e-12)
 
     def test_stationary_constant_gap(self):
         inst = stationary([0.6, 0.5], horizon=50)
-        trajectory = pseudo_regret(inst, [1] * 50)
+        trajectory = replayed_regret(inst, [1] * 50)
         np.testing.assert_allclose(trajectory, 0.1 * np.arange(1, 51), rtol=1e-12)
 
     def test_alternating_matches_step_recomputation(self):
         pair = lower_bound_instances(3, 8, 60)
         inst = pair.base
         pulls = [t % 3 for t in range(60)]
-        trajectory = pseudo_regret(inst, pulls)
+        trajectory = replayed_regret(inst, pulls)
         # oracle: recompute both sums from scratch at every round
         counts = [0] * 3
         got = []
@@ -239,7 +246,7 @@ class TestPseudoRegret:
     def test_final_value_uses_horizon_average_identity(self):
         inst = rising_toy()
         pulls = [1] * inst.horizon
-        trajectory = pseudo_regret(inst, pulls)
+        trajectory = replayed_regret(inst, pulls)
         star = inst.optimal_arm
         lhs = inst.horizon * inst.avg_expected_reward(star, inst.horizon) - sum(
             inst.expected_reward(1, n) for n in range(1, inst.horizon + 1)
@@ -247,8 +254,9 @@ class TestPseudoRegret:
         assert trajectory[-1] == pytest.approx(lhs, rel=1e-12)
 
     def test_invalid_arm_rejected(self):
-        with pytest.raises(ValueError):
-            pseudo_regret(stationary([0.6, 0.5]), [0, 5])
+        # a whole horizon of pulls, so only arm 2 of two can raise
+        with pytest.raises(IndexError):
+            run_single(stationary([0.6, 0.5]), Replay([0, 2] * 50))
 
 
 class TestWaldBound:
@@ -265,15 +273,15 @@ class TestWaldBound:
         pair = lower_bound_instances(4, 10, 120)
         for inst in (pair.base, pair.boosted, rising_toy(120)):
             for _ in range(25):
-                pulls = rng.integers(0, inst.num_arms, size=inst.horizon)
-                trajectory = pseudo_regret(inst, pulls)
+                pulls = rng.integers(0, inst.num_arms, size=inst.horizon).tolist()
+                trajectory = replayed_regret(inst, pulls)
                 counts = np.bincount(pulls, minlength=inst.num_arms)
                 assert trajectory[-1] <= wald_regret_bound(inst, counts) + 1e-9
 
     def test_stationary_equality(self):
         inst = stationary([0.6, 0.5], horizon=60)
         pulls = [1] * 25 + [0] * 35
-        assert pseudo_regret(inst, pulls)[-1] == pytest.approx(
+        assert replayed_regret(inst, pulls)[-1] == pytest.approx(
             wald_regret_bound(inst, [35, 25]), rel=1e-12
         )
 

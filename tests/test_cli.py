@@ -702,6 +702,7 @@ class TestLowerBound:
 
 class TestSimulationBytes:
     """sha256 of every file ``run`` and ``sweep`` write on the demo config,
+    ``run`` on the demo config at a horizon shorter than its instance's,
     and ``run`` on the deterministic lower-bound base instance (every arm a
     bounded-uniform law of half width 0): a change to the reward laws or
     the simulation round keeps them byte for byte."""
@@ -727,6 +728,16 @@ class TestSimulationBytes:
             "sweep.json": "1dcd86f3de4460df4ac94627dbb16e2ce0ce8d979a08652177553026c7abef58",
             "ucb1_sweep.csv": "56812f51b113f26a75b30adfd8238299e9e54704310da5f38c1aae02ff9e3213",
         },
+        # the demo config cut to 3000 of the instance's 5000 rounds
+        "short_run": {
+            "beta_swts.csv": "f376ee21527c53c9c4f65c46c2e52ee8d987915c2e65cd66ee5f0a0008446c7f",
+            "beta_ts.csv": "ee04bb69c2f6133e5c8d7e0b862333fe16e69fa3fb58b5cb32f88d09491ad4b1",
+            "et_beta_ts.csv": "1ec15ee0c309f34ddaef4d8403a65a38db18407698db78b7a8dd00a7dddd6886",
+            "gauss_ts.csv": "1d7acb1d845d5b81a7171bcc984641b5c5de98280c6220415c34e622274de5ea",
+            "results.json": "a8c5e82bbf45b901b36e82ed1d6a584e2472943bcc4f2bc752756cb1c707f9aa",
+            "sw_ucb.csv": "8784197412e5cc60b2dbaf8aa63f9700d1d2133749c6995d0835e284602402ce",
+            "ucb1.csv": "ab5269d4f7b2e925b94d1bf771958829e11ea825f93d7ee36841e7d086128d7c",
+        },
         "lower_bound_run": {
             "gauss_swgts.csv": "61f0ee41200953600d2afef0a67285563aa125c5592c7cf0e32970649dc2f04a",
             "results.json": "2097572338f792a2bfa5dc4934c4ba0e0137c08a7be248b3b4f017a96f030537",
@@ -745,6 +756,17 @@ class TestSimulationBytes:
         assert main(["sweep", "--config", config, "--runs", "1", "--out", str(tmp_path / "sweep")]) == 0
         assert self._digests(tmp_path / "run") == self.DIGESTS["run"]
         assert self._digests(tmp_path / "sweep") == self.DIGESTS["sweep"]
+
+    def test_demo_run_at_a_shorter_horizon(self, tmp_path):
+        # the run horizon cuts the instance, so regret reads mu* from the cut one
+        config = json.loads(self.DEMO.read_text())
+        config["instance"] = {"file": str(self.DEMO.parent / "instance.json")}
+        config["horizon"] = 3000
+        path = tmp_path / "experiment.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "run"
+        assert main(["run", "--config", str(path), "--runs", "2", "--out", str(out)]) == 0
+        assert self._digests(out) == self.DIGESTS["short_run"]
 
     def test_deterministic_lower_bound_instance(self, tmp_path):
         lb = tmp_path / "lb"

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from srrb.analytics import pseudo_regret, wald_regret_bound
+from srrb.analytics import wald_regret_bound
 from srrb.curves import (
     BernoulliLaw,
     BoundedUniformLaw,
@@ -66,6 +66,59 @@ class RoundRobin:
         self.observed.append((arm, reward))
 
 
+class Replay:
+    """Stub policy pulling a given arm sequence, round t its (t - 1)-th entry."""
+
+    def __init__(self, pulls):
+        self.pulls = list(pulls)
+
+    def select_arm(self, t):
+        return self.pulls[t - 1]
+
+    def update(self, arm, reward, t):
+        pass
+
+
+class Recording:
+    """Policy proxy recording each round's (arm, reward)."""
+
+    def __init__(self, policy):
+        self.policy = policy
+        self.observed = []
+
+    def select_arm(self, t):
+        return self.policy.select_arm(t)
+
+    def update(self, arm, reward, t):
+        self.observed.append((arm, reward))
+        self.policy.update(arm, reward, t)
+
+
+def recorded_pulls(inst, config, seed, stride=None):
+    """``run_single(inst, config, seed=seed)`` through a :class:`Recording`
+    of the policy it builds: the record and the arm of each round."""
+    policy_ss, _ = np.random.SeedSequence(seed).spawn(2)
+    policy = make_policy(config, inst.num_arms, inst.horizon, np.random.default_rng(policy_ss),
+                         [arm.law for arm in inst.arms])
+    recording = Recording(policy)
+    record = run_single(inst, recording, seed=seed, stride=stride)
+    plain = run_single(inst, config, seed=seed, stride=stride)
+    assert record.regret.tobytes() == plain.regret.tobytes()
+    return record, [arm for arm, _ in recording.observed]
+
+
+def running_regret(inst, pulls):
+    """The oracle: mu*(t) - mu_i(n) summed round by round from 0."""
+    opt = inst.expected_rewards(inst.optimal_arm)
+    counts = [0] * inst.num_arms
+    running, trajectory = 0.0, [0.0]
+    for t, arm in enumerate(pulls, start=1):
+        counts[arm] += 1
+        running += float(opt[t - 1]) - inst.expected_reward(arm, counts[arm])
+        trajectory.append(running)
+    return np.array(trajectory)
+
+
 class TestEvaluationGrid:
     def test_default_stride_bounds_points(self):
         grid = evaluation_grid(1_000_000)
@@ -109,17 +162,17 @@ class TestRunSingle:
 
     def test_fixed_seed_reproducible(self):
         inst = stationary([0.6, 0.5])
-        a = run_single(inst, PolicyConfig(kind="beta_swts"), seed=99)
-        b = run_single(inst, PolicyConfig(kind="beta_swts"), seed=99)
-        np.testing.assert_array_equal(a.pulls, b.pulls)
+        a, a_pulls = recorded_pulls(inst, PolicyConfig(kind="beta_swts"), seed=99)
+        b, b_pulls = recorded_pulls(inst, PolicyConfig(kind="beta_swts"), seed=99)
+        assert a_pulls == b_pulls
         np.testing.assert_array_equal(a.regret, b.regret)
         np.testing.assert_array_equal(a.pull_counts, b.pull_counts)
 
     def test_different_seeds_differ(self):
         inst = stationary([0.6, 0.5])
-        a = run_single(inst, PolicyConfig(kind="beta_swts"), seed=99)
-        b = run_single(inst, PolicyConfig(kind="beta_swts"), seed=100)
-        assert not np.array_equal(a.pulls, b.pulls)
+        _, a_pulls = recorded_pulls(inst, PolicyConfig(kind="beta_swts"), seed=99)
+        _, b_pulls = recorded_pulls(inst, PolicyConfig(kind="beta_swts"), seed=100)
+        assert a_pulls != b_pulls
 
     def test_rested_semantics_feed_lifetime_pull_counts(self):
         # rewards are deterministic and encode the pull index, so the
@@ -183,38 +236,15 @@ class TestRunSingle:
              Arm(TabulatedCurve([0.1 + n / 300 for n in range(150)]), BernoulliLaw())],
             300,
         )
-        record = run_single(inst, PolicyConfig(kind=kind, window=40), seed=5, stride=1)
-        opt = inst.expected_rewards(inst.optimal_arm)
-        counts = [0] * inst.num_arms
-        running, expected = 0.0, [0.0]
-        for t, arm in enumerate(record.pulls, start=1):
-            counts[arm] += 1
-            running += float(opt[t - 1]) - inst.expected_reward(int(arm), counts[arm])
-            expected.append(running)
-        assert record.regret.tobytes() == np.array(expected).tobytes()
-        assert record.regret[1:].tobytes() == pseudo_regret(inst, record.pulls).tobytes()
-        np.testing.assert_array_equal(record.pull_counts, counts)
+        record, pulls = recorded_pulls(inst, PolicyConfig(kind=kind, window=40), seed=5, stride=1)
+        assert record.regret.tobytes() == running_regret(inst, pulls).tobytes()
+        np.testing.assert_array_equal(record.pull_counts, np.bincount(pulls, minlength=3))
 
     def test_wald_bound_holds_per_run(self):
         inst = stationary([0.6, 0.5, 0.3])
         for seed in range(10):
             record = run_single(inst, PolicyConfig(kind="ucb1"), seed=seed)
             assert record.final_regret <= wald_regret_bound(inst, record.pull_counts) + 1e-9
-
-
-class Recording:
-    """Policy proxy recording each round's (arm, reward)."""
-
-    def __init__(self, policy):
-        self.policy = policy
-        self.observed = []
-
-    def select_arm(self, t):
-        return self.policy.select_arm(t)
-
-    def update(self, arm, reward, t):
-        self.observed.append((arm, reward))
-        self.policy.update(arm, reward, t)
 
 
 class TestRewardStream:
@@ -253,9 +283,7 @@ class TestRewardStream:
         assert min(counts) > 0
         assert recording.observed == observed
         pulls = [arm for arm, _ in observed]
-        assert record.pulls.tolist() == pulls
-        regret = np.concatenate(([0.0], pseudo_regret(inst, pulls)))
-        assert record.regret.tobytes() == regret.tobytes()
+        assert record.regret.tobytes() == running_regret(inst, pulls).tobytes()
         assert record.pull_counts.tolist() == counts
 
 
@@ -493,6 +521,11 @@ class TestOnePool:
         assert main(["run", "--config", _experiment(tmp_path), "--out", str(out),
                      "--threads", threads]) == 0
         assert len(forks) == expected and _no_child_left()
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_empty_plan_has_no_aggregates_and_forks_nothing(self, forks, parallelism):
+        assert run_batches(stationary([0.6, 0.5]), [], parallelism) == []
+        assert forks == [] and _no_child_left()
 
     def test_unresolvable_sweep_point_starts_no_run_and_forks_nothing(
         self, monkeypatch, forks, tmp_path, capsys
