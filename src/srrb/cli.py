@@ -10,6 +10,8 @@ Each subcommand imports only the library layers it runs.
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import json
 import os
 import sys
@@ -25,6 +27,14 @@ from . import InvalidInstanceError, __version__
 # library.  A value the caller set wins; ``import srrb`` leaves the
 # environment alone.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+# At exit the interpreter's final full collections walk every object that
+# numpy and srrb left tracked, for memory the ending process hands back
+# anyway: about 15 of the 20-22 ms a CLI process took to exit on a 2-vCPU
+# Xeon.  Atexit handlers run before those collections, so freezing there
+# keeps the objects out of them.
+# ``main()`` returns with the collector untouched; ``import srrb`` registers
+# nothing.
+atexit.register(gc.freeze)
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1

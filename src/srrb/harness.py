@@ -33,7 +33,7 @@ __all__ = [
     "SWEEP_AXES",
 ]
 
-_UNIFORM_BLOCK = 1024  # reward uniforms drawn per generator call
+_UNIFORM_BLOCK = 1024  # most reward uniforms drawn per generator call
 # the config field each sweep axis sets
 SWEEP_AXES = {"window_exponent": "window", "forced_pulls": "forced_pulls"}
 
@@ -131,7 +131,8 @@ def run_single(
             policy, instance.num_arms, horizon, np.random.default_rng(policy_ss), laws
         )
     reward_rng = np.random.default_rng(reward_ss)
-    blocks = iter(lambda: reward_rng.random(_UNIFORM_BLOCK).tolist(), None)
+    block = min(horizon, _UNIFORM_BLOCK)
+    blocks = iter(lambda: reward_rng.random(block).tolist(), None)
     grid = evaluation_grid(horizon, stride)
 
     # bound once; each call still goes to the objects given, proxies included
@@ -199,8 +200,8 @@ def run_batches(
     if any(runs < 1 for _, runs, _ in batches):
         raise ValueError("runs must be >= 1")
     laws = [arm.law for arm in instance.arms]
-    for config, _, _ in batches:
-        config.resolve(instance.horizon, laws)
+    # resolved once here, each run's make_policy then takes the config as it is
+    batches = [(cfg.resolve(instance.horizon, laws), runs, seed) for cfg, runs, seed in batches]
     tasks = [(cfg, r, child_seed(seed, r)) for cfg, runs, seed in batches for r in range(runs)]
     workers = min(parallelism, max(len(tasks), 1)) if hasattr(os, "fork") else 1
     children = []  # (pid, read end of its pipe) of each forked worker not yet reaped

@@ -135,6 +135,7 @@ class PolicyConfig:
         """Fill in horizon/law dependent defaults; ``law`` is one reward law
         or the laws of every arm.  The default Gaussian precision comes from
         the largest variance proxy, and the Beta flavor needs Bernoulli laws.
+        A config with nothing left to fill in is returned as it is.
         """
         laws = () if law is None else (law,) if isinstance(law, RewardLaw) else tuple(law)
         if self.kind == "beta_swts" and any(lw.kind != "bernoulli" for lw in laws):
@@ -143,10 +144,10 @@ class PolicyConfig:
         window = row.default_window(horizon) if self.window is None else self.window
         if max(window, self.forced_pulls) > horizon:
             raise ValueError(f"window {window} or forced_pulls {self.forced_pulls} > horizon {horizon}")
-        filled = {"window": window}
+        filled = {"window": window} if self.window is None else {}
         if row.param is not None and getattr(self, row.param) is None:
             filled[row.param] = row.default(laws)
-        return replace(self, **filled)
+        return replace(self, **filled) if filled else self
 
     def to_dict(self) -> dict:
         out = {"kind": self.kind, "forced_pulls": self.forced_pulls, "window": self.window}

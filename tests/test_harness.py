@@ -347,6 +347,20 @@ class TestRunBatch:
         np.testing.assert_array_equal(serial.std_regret, parallel.std_regret)
         np.testing.assert_array_equal(serial.mean_pull_counts, parallel.mean_pull_counts)
 
+    def test_each_run_takes_the_resolved_config(self, monkeypatch):
+        # resolved once per batch, so each run's make_policy resolves nothing new
+        import srrb.harness
+
+        inst = stationary([0.6, 0.5], horizon=200)
+        laws = [arm.law for arm in inst.arms]
+        given = []
+        real = srrb.harness.run_single
+        monkeypatch.setattr(srrb.harness, "run_single",
+                            lambda inst, cfg, **kw: given.append(cfg) or real(inst, cfg, **kw))
+        run_batch(inst, PolicyConfig(kind="ucb1"), runs=3)
+        assert given == [PolicyConfig(kind="ucb1").resolve(200, laws)] * 3
+        assert all(cfg.resolve(200, laws) is cfg for cfg in given)
+
     @pytest.mark.parametrize("horizon", [0, 201, 400])
     def test_horizon_outside_the_instance_rejected(self, horizon):
         inst = stationary([0.6, 0.5], horizon=200)

@@ -152,3 +152,27 @@ class TestBlasThreads:
                         "print(json.dumps([os.environ.get('OPENBLAS_NUM_THREADS'), "
                         "dict(os.environ) == before]))")
         assert result == [None, True]
+
+
+# registered before the code under test, so it runs after that code's own
+# atexit handlers (last in, first out) and prints the freeze count then
+_FREEZE_PROBE = ("import atexit, gc, json; "
+                 "atexit.register(lambda: print(json.dumps(gc.get_freeze_count()))); ")
+
+
+class TestExitFreeze:
+    """A CLI process freezes the collector at exit, so finalization's
+    collections skip what numpy and srrb loaded; in-process ``main()``
+    calls and the library leave the collector alone."""
+
+    def test_cli_process_exits_frozen(self):
+        assert _fresh(_FREEZE_PROBE + "import srrb.cli") > 0
+
+    def test_in_process_main_returns_unfrozen(self):
+        result = _fresh("import gc, json; from srrb.cli import main; "
+                        "code = main(['verify', '--suite', 'identities']); "
+                        "print(json.dumps([code, gc.get_freeze_count()]))")
+        assert result == [0, 0]
+
+    def test_library_process_exits_unfrozen(self):
+        assert _fresh(_FREEZE_PROBE + "import srrb; srrb.Instance") == 0

@@ -38,6 +38,7 @@ class TestConfig:
     def test_resolve_fills_window(self):
         cfg = PolicyConfig(kind="beta_swts").resolve(horizon=500)
         assert cfg.window == 500
+        assert cfg.resolve(horizon=500) is cfg
 
     @pytest.mark.parametrize("field", ["window", "forced_pulls"])
     def test_resolve_rejects_a_count_past_the_horizon(self, field):
@@ -55,8 +56,10 @@ class TestConfig:
     def test_default_precision_from_largest_variance_proxy(self):
         # arm 0 is Bernoulli (scale 1); the wide uniform arm sets the default
         wide = BoundedUniformLaw(half_width=0.9)
-        cfg = PolicyConfig(kind="gauss_swgts").resolve(horizon=10, law=[BernoulliLaw(), wide])
+        laws = [BernoulliLaw(), wide]
+        cfg = PolicyConfig(kind="gauss_swgts").resolve(horizon=10, law=laws)
         assert cfg.precision_scale == default_precision_scale(wide) < 1.0
+        assert cfg.resolve(horizon=10, law=laws) is cfg
 
     def test_beta_checks_every_arm_law(self):
         laws = [BernoulliLaw(), BoundedUniformLaw(half_width=0.1)]
@@ -124,8 +127,12 @@ class TestConfig:
             PolicyConfig(kind=kind, **{field: 0.5})
 
     def test_resolve_fills_the_kind_parameter(self):
-        assert PolicyConfig(kind="ucb1").resolve(horizon=10).ucb_alpha == 2.0
-        assert PolicyConfig(kind="sw_ucb").resolve(horizon=10).sw_xi == 0.6
+        ucb = PolicyConfig(kind="ucb1").resolve(horizon=10)
+        sw = PolicyConfig(kind="sw_ucb").resolve(horizon=10)
+        assert (ucb.ucb_alpha, sw.sw_xi) == (2.0, 0.6)
+        assert ucb.resolve(horizon=10) is ucb and sw.resolve(horizon=10) is sw
+        # a set window leaves the parameter to fill
+        assert PolicyConfig(kind="ucb1", window=10).resolve(horizon=10).ucb_alpha == 2.0
         resolved = PolicyConfig(kind="beta_swts").resolve(horizon=10)
         assert (resolved.ucb_alpha, resolved.sw_xi, resolved.precision_scale) == (None,) * 3
 
