@@ -1,7 +1,7 @@
 """Paired timing of two checkouts: in process, by import, end to end.
 
     python3 bench/paired.py --base PARENT_ROOT --change CHANGE_ROOT \\
-        --out BENCH_paired.json
+        --out BENCH_paired.json [--seed 6]
 
 Each root is a git checkout (``src/`` and ``perfbench/``), labelled by
 ``git describe --always --dirty``.  Every reading is scaled to
@@ -29,7 +29,9 @@ cannot favour a side.  In order:
   ``bytecode_cached`` uses a temporary ``PYTHONPYCACHEPREFIX`` filled by
   one warm-up interpreter per statement and root.
 - ``e2e.<workload>`` (``PAIRS`` pairs): ``python3 perfbench/run.py
-  --workload W --seed SEED --seconds 38 --trace 0`` in each root.
+  --workload W --seed SEED --seconds 38 --trace 0`` in each root, SEED
+  being ``--seed`` (6 by default; check a claim at a seed that was not
+  used while writing the change).
 
 Per metric: every reading, each side's quartiles (the middle one is the
 median), the ratio of the medians, their gap over the base's IQR and the
@@ -63,9 +65,9 @@ sys.dont_write_bytecode = True
 
 PAIRS = 10
 HORIZON = 10_000
-# 8 and 9 sit either side of the largest K at which the policies keep list
-# index inputs and Beta-TS draws per arm (``srrb.policies._LIST_ARMS``)
-ARMS = (2, 8, 9, 15, 100)
+# 13 and 14 sit either side of the largest K at which the policies keep
+# list index inputs and Beta-TS draws per arm (``srrb.policies._LIST_ARMS``)
+ARMS = (2, 13, 14, 15, 100)
 RUNS = 2
 # kind -> the rest of its PolicyConfig, as in the run_k15 workload
 POLICIES = {
@@ -87,7 +89,6 @@ IMPORTS = {
     "setup_probe": "from srrb import Instance, PolicyConfig, random_rising_instance",
 }
 IMPORT_PAIRS = 15
-SEED = 6
 E2E = ("run_k15", "sweep_k2", "numerics")
 HIGHER_IS_BETTER = {"rounds_per_s"}
 
@@ -173,9 +174,9 @@ def import_times(root: Path, statement: str, cache: Path | None, scratch: Path) 
     return {"wall_s": scaled(t["wall_s"], before, after), "cpu_s": scaled(cpu, before, after)}
 
 
-def run_e2e(root: Path, workload: str) -> dict:
+def run_e2e(root: Path, workload: str, seed: int) -> dict:
     """The end-to-end metrics of one ``perfbench/run.py`` run in ``root``."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", "38", "--trace", "0"]
     proc = subprocess.run(cmd, cwd=root, check=True, capture_output=True, text=True)
     result = json.loads(proc.stdout.strip().splitlines()[-1])
@@ -248,6 +249,7 @@ def main() -> None:
     parser.add_argument("--base", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--seed", type=int, default=6, help="the end-to-end workloads' seed")
     args = parser.parse_args()
     roots = {"base": args.base.resolve(), "change": args.change.resolve()}
     doc = header(roots)
@@ -272,7 +274,8 @@ def main() -> None:
 
     for workload in E2E:
         doc[f"e2e.{workload}"] = {
-            "seed": SEED, **paired([workload], lambda side, wl: run_e2e(roots[side], wl))}
+            "seed": args.seed,
+            **paired([workload], lambda side, wl: run_e2e(roots[side], wl, args.seed))}
     args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
 
 
