@@ -41,7 +41,6 @@ _EXPORTS = {
         "growth_index",
         "pull_bound_terms",
         "sigma_complexity",
-        "wald_regret_bound",
         "windowed_sigma_complexity",
     ),
     "constructions": (
@@ -67,6 +66,7 @@ _EXPORTS = {
         "sweep_batches",
         "child_seed",
         "evaluation_grid",
+        "wald_regret_bound",
     ),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}

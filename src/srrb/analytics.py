@@ -1,5 +1,5 @@
-"""Instance-level analytics: gaps, complexity indices, regret accounting,
-and the upper-bound term calculators.
+"""Instance-level analytics: gaps, complexity indices and the upper-bound
+term calculators.
 
 All quantities compare against the horizon-optimal arm.  In a rising
 rested bandit the optimal arm is the same at every round, so anchoring on
@@ -23,7 +23,6 @@ __all__ = [
     "windowed_sigma_complexity",
     "WindowedSigmaReport",
     "growth_index",
-    "wald_regret_bound",
     "pull_bound_terms",
     "BoundTerms",
     "AnalysisReport",
@@ -134,28 +133,6 @@ def growth_index(instance: Instance, m: int, q: float) -> float:
         np.maximum(increments, np.diff(instance.expected_rewards(i)[:m]), out=increments)
     increments = np.maximum(increments, 0.0)  # guard tiny negative rounding
     return float(np.power(increments, q).sum())
-
-
-def wald_regret_bound(instance: Instance, pull_counts) -> float:
-    """Upper estimate of the trajectory regret from final pull counts:
-    sum over suboptimal arms of (mu*(T) - mu_i(1)) * N_i.
-
-    Monotonicity of the curves makes this dominate the pseudo-regret of
-    every trajectory with those counts.
-    """
-    counts = np.asarray(pull_counts, dtype=np.int64)
-    if counts.size != instance.num_arms:
-        raise ValueError("need one pull count per arm")
-    if counts.min() < 0 or counts.sum() > instance.horizon:
-        raise ValueError("pull counts must be non-negative and sum to at most the horizon")
-    star = instance.optimal_arm
-    total = 0.0
-    for i in range(instance.num_arms):
-        if i == star:
-            continue
-        gap = max(0.0, instance.expected_reward(star, instance.horizon) - instance.expected_reward(i, 1))
-        total += gap * int(counts[i])
-    return total
 
 
 @dataclass(frozen=True)

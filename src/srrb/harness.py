@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analytics import wald_regret_bound
 from .curves import _real
 from .instance import Instance
 from .policies import Policy, PolicyConfig, make_policy
@@ -30,6 +29,7 @@ __all__ = [
     "run_batch",
     "run_batches",
     "sweep_batches",
+    "wald_regret_bound",
     "SWEEP_AXES",
 ]
 
@@ -152,6 +152,28 @@ def run_single(
     # cumsum adds in sequence, so each entry is bit for bit a round loop's running sum
     np.cumsum(instance.expected_rewards(instance.optimal_arm) - means, out=regret[1:])
     return RunRecord(grid=grid, regret=regret[grid], pull_counts=np.array(counts, dtype=np.int64))
+
+
+def wald_regret_bound(instance: Instance, pull_counts) -> float:
+    """Upper estimate of the trajectory regret from final pull counts:
+    sum over suboptimal arms of (mu*(T) - mu_i(1)) * N_i.
+
+    Monotonicity of the curves makes this dominate the pseudo-regret of
+    every trajectory with those counts.
+    """
+    counts = np.asarray(pull_counts, dtype=np.int64)
+    if counts.size != instance.num_arms:
+        raise ValueError("need one pull count per arm")
+    if counts.min() < 0 or counts.sum() > instance.horizon:
+        raise ValueError("pull counts must be non-negative and sum to at most the horizon")
+    star = instance.optimal_arm
+    total = 0.0
+    for i in range(instance.num_arms):
+        if i == star:
+            continue
+        gap = max(0.0, instance.expected_reward(star, instance.horizon) - instance.expected_reward(i, 1))
+        total += gap * int(counts[i])
+    return total
 
 
 def _checked_run(instance, stride, config, run_index, seed) -> RunRecord:

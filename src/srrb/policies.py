@@ -16,8 +16,14 @@ Up to ``_LIST_ARMS`` arms the inputs are Python lists and ``_index`` works
 arm by arm: list comprehensions with the IEEE operations of the
 whole-array formula in its order, and one scalar ``rng.beta`` call per
 arm for Beta-TS.  Above that they are numpy arrays and ``_index`` makes
-whole-array calls, whose fixed cost the arms then outweigh.  Both give
-the same bits, and the same draws in arm order from the same generator.
+whole-array calls, whose fixed cost the arms then outweigh.  Array Beta-TS
+keeps its inputs interleaved and, once no window is empty, draws all the
+posteriors with one ``rng.standard_gamma`` call, as Ga / (Ga + Gb), which
+is how ``rng.beta`` draws any Beta but Beta(1, 1).  Past round ``window``
+the UCB bonus no longer grows, so a UCB window shorter than the horizon
+(SW-UCB's default) keeps its index list and refreshes its pulled and
+evicted entries.  Every path gives the same bits, and the same draws in
+arm order from the same generator.
 """
 
 from __future__ import annotations
@@ -42,9 +48,9 @@ __all__ = [
 ]
 
 # the largest K at which the index inputs are lists and Beta-TS draws per
-# arm: timed per run_single round, lists save Beta-TS 2 µs or more up to
-# K = 13 and 0.5 to 1.9 µs at 14, where they cost a Gaussian round up to
-# 1.3 µs (0.9 at 13); per-arm and array draws cost about the same at 15
+# arm: timed per run_single round against the standard_gamma array path,
+# lists save Beta-TS 1 to 2 µs at K = 11 to 13 but 0.2 µs at 14, where
+# arrays save a Gaussian round 0.3 µs (UCB1 rounds move 0.2 µs or less)
 _LIST_ARMS = 13
 
 
@@ -230,8 +236,8 @@ class Policy:
 
     def _index(self, t: int) -> list:
         """Per-arm selection values at round t as a list, from ``_p`` and
-        ``_q``; a kind's ``_refresh(arm)`` recomputes both from the arm's
-        window."""
+        ``_q``, which a kind's ``_refresh(arm)`` recomputes from the arm's
+        window; the list may be one the kind keeps, so callers only read it."""
         raise NotImplementedError
 
     def update(self, arm: int, reward: float, t: int) -> None:
@@ -276,10 +282,23 @@ class BetaSlidingWindowTS(Policy):
     pulls_empty_arms = False
     binary_rewards = True
 
+    def __init__(self, *args):
+        super().__init__(*args)
+        if self.num_arms > _LIST_ARMS:
+            # p and q interleaved, so one standard_gamma call draws Ga then
+            # Gb arm by arm, as rng.beta(p, q) does
+            self._pq = np.ones(2 * self.num_arms)
+            self._p, self._q = self._pq[0::2], self._pq[1::2]
+
     def _index(self, t: int) -> list:
         if self.num_arms <= _LIST_ARMS:
             return list(map(self.rng.beta, self._p, self._q))
-        return self.rng.beta(self._p, self._q).tolist()
+        if self._empty:  # numpy draws Beta(1, 1) by Johnk's method, not from gammas
+            return self.rng.beta(self._p, self._q).tolist()
+        # rng.beta's own Ga / (Ga + Gb), since p > 1 or q > 1 for every arm
+        g = self.rng.standard_gamma(self._pq)
+        ga = g[0::2]
+        return (ga / (ga + g[1::2])).tolist()
 
     def _refresh(self, arm: int) -> None:
         s = self._sums[arm]
@@ -311,7 +330,8 @@ class SlidingWindowUCB(Policy):
 
     UCB1 is this index with xi = ucb_alpha; over its default full-horizon
     window the statistics are the lifetime ones and the bonus is
-    sqrt(alpha * log(t) / N).  For ``sw_ucb`` xi is ``sw_xi``.
+    sqrt(alpha * log(t) / N).  For ``sw_ucb`` xi is ``sw_xi``.  A window
+    shorter than the horizon makes a :class:`KeptIndexUCB` instead.
     """
 
     def _index(self, t: int) -> list:
@@ -325,6 +345,37 @@ class SlidingWindowUCB(Policy):
         if n:  # an empty window is pulled outright, its inputs never read
             self._p[arm] = self._sums[arm] / n
             self._q[arm] = n
+
+
+class KeptIndexUCB(SlidingWindowUCB):
+    """The UCB index over a window shorter than the horizon.  Past round
+    ``window`` its bonus log(min(t, window)) is fixed, so the first index
+    computed then is kept and ``_refresh`` recomputes only the pulled and
+    the evicted arm's entry, with the IEEE operations of the formula.  A
+    full-horizon window (UCB1's default) never gets there."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self._kept = None
+
+    def _index(self, t: int) -> list:
+        if self._kept is not None:
+            return self._kept
+        values = super()._index(t)
+        if t > self.window:
+            self._xi_log, self._kept = self.param * math.log(self.window), values
+        return values
+
+    def _refresh(self, arm: int) -> None:
+        # the base's refresh written out: a super() call would cost every update
+        n = self._counts[arm]
+        if n:
+            mean = self._sums[arm] / n
+            if self._kept is None:
+                self._p[arm] = mean
+                self._q[arm] = n
+            else:
+                self._kept[arm] = mean + math.sqrt(self._xi_log / n)
 
 
 class _Kind(NamedTuple):
@@ -369,4 +420,8 @@ def make_policy(
     """Instantiate a policy from its configuration, resolved for
     ``horizon`` and ``law`` (one law, or the laws of every arm) by
     :meth:`PolicyConfig.resolve`."""
-    return _KINDS[config.kind].cls(config.resolve(horizon, law), num_arms, horizon, rng)
+    config = config.resolve(horizon, law)
+    cls = _KINDS[config.kind].cls
+    if cls is SlidingWindowUCB and config.window < horizon:
+        cls = KeptIndexUCB
+    return cls(config, num_arms, horizon, rng)

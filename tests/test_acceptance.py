@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from srrb.analytics import sigma_complexity, wald_regret_bound
+from srrb.analytics import sigma_complexity
 from srrb.cli import main
 from srrb.constructions import (
     lower_bound_instances,
@@ -24,7 +24,7 @@ from srrb.curves import (
     LinearCappedCurve,
     TabulatedCurve,
 )
-from srrb.harness import run_batch, run_batches, run_single, sweep_batches
+from srrb.harness import run_batch, run_batches, run_single, sweep_batches, wald_regret_bound
 from srrb.instance import Arm, Instance
 from srrb.policies import PolicyConfig
 from srrb.verify import (

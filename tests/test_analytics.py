@@ -12,7 +12,6 @@ from srrb.analytics import (
     growth_index,
     pull_bound_terms,
     sigma_complexity,
-    wald_regret_bound,
     windowed_sigma_complexity,
 )
 from srrb.constructions import (
@@ -28,7 +27,7 @@ from srrb.curves import (
     TabulatedCurve,
 )
 from srrb.distmath import binomial_pmf, binomial_pmfs, pb_pmf, tv_distance
-from srrb.harness import run_single
+from srrb.harness import run_single, wald_regret_bound
 from srrb.instance import Arm, Instance
 from test_harness import Replay
 

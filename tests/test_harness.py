@@ -13,7 +13,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from srrb.analytics import wald_regret_bound
 from srrb.curves import (
     BernoulliLaw,
     BoundedUniformLaw,
@@ -31,6 +30,7 @@ from srrb.harness import (
     run_batches,
     run_single,
     sweep_batches,
+    wald_regret_bound,
 )
 from srrb.instance import Arm, Instance
 from srrb.policies import PolicyConfig, make_policy

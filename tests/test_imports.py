@@ -90,10 +90,11 @@ class TestSubcommandImports:
          ["srrb.harness", "srrb.policies", "srrb.verify", "srrb.constructions", "multiprocessing",
           "srrb.distmath", "fractions", "decimal"]),
         ("run", "srrb.harness",
-         ["srrb.verify", "srrb.constructions", "concurrent.futures.process", "multiprocessing",
-          "srrb.distmath", "fractions", "decimal"]),
+         ["srrb.analytics", "srrb.verify", "srrb.constructions", "concurrent.futures.process",
+          "multiprocessing", "srrb.distmath", "fractions", "decimal"]),
         ("sweep", "srrb.harness",
-         ["concurrent.futures", "multiprocessing", "srrb.verify", "srrb.distmath"]),
+         ["srrb.analytics", "concurrent.futures", "multiprocessing", "srrb.verify",
+          "srrb.distmath"]),
         ("verify", "srrb.verify",
          ["srrb.harness", "srrb.analytics", "srrb.constructions", "srrb.policies",
           "srrb.instance", "srrb.curves", "fractions", "decimal"]),

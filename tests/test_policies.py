@@ -13,6 +13,7 @@ from srrb.curves import BernoulliLaw, BoundedUniformLaw
 from srrb.policies import (
     _LIST_ARMS,
     POLICY_KINDS,
+    KeptIndexUCB,
     PolicyConfig,
     default_precision_scale,
     default_sw_window,
@@ -571,20 +572,56 @@ class TestIndexCache:
     """Each kind caches two index inputs per arm and refreshes them for the
     pulled and the evicted arm only; after every update its index must
     equal the whole-array formula bit for bit, on copies of one generator
-    state.  Window 1 over one arm evicts the pulled arm every round; window
-    7 over 15 arms empties and refills windows all the time; K =
-    ``_LIST_ARMS`` and one more put every kind on either side of its
-    choice between list and array index inputs (for Beta-TS, per-arm and
-    array draws, whose generator must end where the oracle's does).
-    Integer parameters stay ``int`` in the config and must give the same
-    bits."""
+    state.  Window 1 over one arm evicts the
+    pulled arm every round; window 7 over 15 arms empties and refills
+    windows all the time; K = ``_LIST_ARMS`` and one more put every kind
+    on either side of its choice between list and array index inputs (for
+    Beta-TS, per-arm and array draws, whose generator must end where the
+    oracle's does); window 60 over 15 arms fills every window, so array
+    Beta-TS draws from its interleaved gammas and the UCB kinds keep their
+    index, which a full-horizon window never does.  Integer parameters stay
+    ``int`` in the config and must give the same bits."""
 
     HORIZON = 200
+
+    def _replay(self, kind, param, num_arms, window, forced):
+        """Checks the index after every update, on a copy of the policy so
+        that the check itself keeps no index; returns the policy and the
+        number of rounds after which no arm's window was empty."""
+        params = {} if param is None else {PARAM_FIELDS[kind]: param}
+        policy = build(kind, num_arms, self.HORIZON, window, forced, seed=window, **params)
+        assert policy.param == param and type(policy.param) is type(param)
+        reward_rng = rng(num_arms)
+        full = 0
+        for t in range(1, self.HORIZON):
+            arm = policy.select_arm(t)
+            reward = reward_rng.random()
+            policy.update(arm, float(reward < 0.5) if kind == "beta_swts" else reward, t)
+            counts = policy.window_lists()[0]
+            full += 0 not in counts
+            read = np.array(counts) > 0 if policy.pulls_empty_arms else slice(None)
+            oracle_rng = copy.deepcopy(policy.rng)
+            probe = copy.deepcopy(policy)
+            cached = probe._index(t + 1)
+            drawn = probe.rng.bit_generator.state
+            recomputed = _whole_array_index(kind, policy, t + 1, oracle_rng)
+            assert drawn == oracle_rng.bit_generator.state, f"round {t}"
+            assert np.asarray(cached)[read].tobytes() == recomputed[read].tobytes(), f"round {t}"
+        return policy, full
 
     @pytest.mark.parametrize("forced", [0, 1])
     @pytest.mark.parametrize(
         "num_arms, window",
-        [(1, 1), (3, 1), (15, 7), (4, 40), (_LIST_ARMS, 12), (_LIST_ARMS + 1, 12)],
+        [
+            (1, 1),
+            (3, 1),
+            (15, 7),
+            (4, 40),
+            (_LIST_ARMS, 12),
+            (_LIST_ARMS + 1, 12),
+            (15, 60),
+            (15, HORIZON),
+        ],
     )
     @pytest.mark.parametrize(
         "kind, param",
@@ -598,20 +635,18 @@ class TestIndexCache:
         ],
     )
     def test_index_matches_whole_array_formula(self, kind, param, num_arms, window, forced):
-        params = {} if param is None else {PARAM_FIELDS[kind]: param}
-        policy = build(kind, num_arms, self.HORIZON, window, forced, seed=window, **params)
-        assert policy.param == param and type(policy.param) is type(param)
-        reward_rng = rng(num_arms)
-        for t in range(1, self.HORIZON):
-            arm = policy.select_arm(t)
-            reward = reward_rng.random()
-            policy.update(arm, float(reward < 0.5) if kind == "beta_swts" else reward, t)
-            read = np.array(policy.window_lists()[0]) > 0 if policy.pulls_empty_arms else slice(None)
-            oracle_rng = copy.deepcopy(policy.rng)
-            state = policy.rng.bit_generator.state
-            cached = policy._index(t + 1)
-            drawn = policy.rng.bit_generator.state
-            policy.rng.bit_generator.state = state
-            recomputed = _whole_array_index(kind, policy, t + 1, oracle_rng)
-            assert drawn == oracle_rng.bit_generator.state, f"round {t}"
-            assert np.asarray(cached)[read].tobytes() == recomputed[read].tobytes(), f"round {t}"
+        policy, full = self._replay(kind, param, num_arms, window, forced)
+        if (num_arms, window) == (15, 60):
+            assert full, "no round had every window filled"
+        if kind in ("ucb1", "sw_ucb"):
+            # only a window shorter than the horizon can keep its index
+            assert isinstance(policy, KeptIndexUCB) == (window < self.HORIZON)
+
+    @pytest.mark.parametrize("num_arms, window, forced", [(4, 5, 3), (15, 20, 2)])
+    @pytest.mark.parametrize("param", [0.6, 1])
+    def test_sw_ucb_index_kept_from_past_a_long_forced_phase(self, param, num_arms, window, forced):
+        # the first index is computed at round K * forced + 1 > window + 1,
+        # already past the rounds whose log(min(t, window)) still grows
+        assert num_arms * forced > window + 1
+        policy, _ = self._replay("sw_ucb", param, num_arms, window, forced)
+        assert policy._kept is not None
