@@ -20,10 +20,10 @@ whole-array calls, whose fixed cost the arms then outweigh.  Array Beta-TS
 keeps its inputs interleaved and, once no window is empty, draws all the
 posteriors with one ``rng.standard_gamma`` call, as Ga / (Ga + Gb), which
 is how ``rng.beta`` draws any Beta but Beta(1, 1).  Past round ``window``
-the UCB bonus no longer grows, so a UCB window shorter than the horizon
-(SW-UCB's default) keeps its index list and refreshes its pulled and
-evicted entries.  Every path gives the same bits, and the same draws in
-arm order from the same generator.
+the UCB bonus no longer grows, so from there on the UCB index keeps its
+list and refreshes the pulled and the evicted entry; only a window
+shorter than the horizon (SW-UCB's default) gets there.  Every path gives
+the same bits, and the same draws in arm order from the same generator.
 """
 
 from __future__ import annotations
@@ -48,9 +48,11 @@ __all__ = [
 ]
 
 # the largest K at which the index inputs are lists and Beta-TS draws per
-# arm: timed per run_single round against the standard_gamma array path,
-# lists save Beta-TS 1 to 2 µs at K = 11 to 13 but 0.2 µs at 14, where
-# arrays save a Gaussian round 0.3 µs (UCB1 rounds move 0.2 µs or less)
+# arm.  Each kind's list/array crossover, timed per run_single round (T =
+# 10^4, run_k15's configs, 15 to 21 paired reps on a 2-vCPU Xeon):
+# Beta-TS 13 to 14 (lists save it 2 µs at K = 12, arrays 4 µs at 20),
+# Gaussian 9 to 10 (arrays save it up to 1.6 µs at 11 to 15), UCB1 16 to
+# 17, SW-UCB, whose kept index is rarely recomputed, 30 to 40
 _LIST_ARMS = 13
 
 
@@ -330,46 +332,33 @@ class SlidingWindowUCB(Policy):
 
     UCB1 is this index with xi = ucb_alpha; over its default full-horizon
     window the statistics are the lifetime ones and the bonus is
-    sqrt(alpha * log(t) / N).  For ``sw_ucb`` xi is ``sw_xi``.  A window
-    shorter than the horizon makes a :class:`KeptIndexUCB` instead.
+    sqrt(alpha * log(t) / N).  For ``sw_ucb`` xi is ``sw_xi``.  Past round
+    ``window`` the bonus is fixed, so the first index computed then is
+    kept, and ``_refresh`` recomputes only the pulled and the evicted
+    arm's entry, with the IEEE operations of the formula; a full-horizon
+    window never gets there.
     """
-
-    def _index(self, t: int) -> list:
-        xi_log = self.param * math.log(min(t, self.window))
-        if self.num_arms <= _LIST_ARMS:
-            return [p + math.sqrt(xi_log / n) for p, n in zip(self._p, self._q)]
-        return (self._p + np.sqrt(xi_log / self._q)).tolist()
-
-    def _refresh(self, arm: int) -> None:
-        n = self._counts[arm]
-        if n:  # an empty window is pulled outright, its inputs never read
-            self._p[arm] = self._sums[arm] / n
-            self._q[arm] = n
-
-
-class KeptIndexUCB(SlidingWindowUCB):
-    """The UCB index over a window shorter than the horizon.  Past round
-    ``window`` its bonus log(min(t, window)) is fixed, so the first index
-    computed then is kept and ``_refresh`` recomputes only the pulled and
-    the evicted arm's entry, with the IEEE operations of the formula.  A
-    full-horizon window (UCB1's default) never gets there."""
 
     def __init__(self, *args):
         super().__init__(*args)
         self._kept = None
+        self._xi_log = self.param * math.log(self.window)
 
     def _index(self, t: int) -> list:
         if self._kept is not None:
             return self._kept
-        values = super()._index(t)
+        xi_log = self.param * math.log(min(t, self.window))
+        if self.num_arms <= _LIST_ARMS:
+            values = [p + math.sqrt(xi_log / n) for p, n in zip(self._p, self._q)]
+        else:
+            values = (self._p + np.sqrt(xi_log / self._q)).tolist()
         if t > self.window:
-            self._xi_log, self._kept = self.param * math.log(self.window), values
+            self._kept = values
         return values
 
     def _refresh(self, arm: int) -> None:
-        # the base's refresh written out: a super() call would cost every update
         n = self._counts[arm]
-        if n:
+        if n:  # an empty window is pulled outright, its inputs never read
             mean = self._sums[arm] / n
             if self._kept is None:
                 self._p[arm] = mean
@@ -417,11 +406,8 @@ def make_policy(
     rng: np.random.Generator,
     law: RewardLaw | Sequence[RewardLaw] | None = None,
 ) -> Policy:
-    """Instantiate a policy from its configuration, resolved for
-    ``horizon`` and ``law`` (one law, or the laws of every arm) by
-    :meth:`PolicyConfig.resolve`."""
+    """Instantiate the kind's one class, ``_KINDS[kind].cls``, from its
+    configuration resolved for ``horizon`` and ``law`` (one law, or the
+    laws of every arm) by :meth:`PolicyConfig.resolve`."""
     config = config.resolve(horizon, law)
-    cls = _KINDS[config.kind].cls
-    if cls is SlidingWindowUCB and config.window < horizon:
-        cls = KeptIndexUCB
-    return cls(config, num_arms, horizon, rng)
+    return _KINDS[config.kind].cls(config, num_arms, horizon, rng)

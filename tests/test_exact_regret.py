@@ -100,6 +100,17 @@ def test_deterministic_ucb1_regret_is_the_exact_value():
         assert record.final_regret == pytest.approx(exact, rel=1e-14, abs=0.0)
 
 
+def test_deterministic_sw_ucb_regret_past_a_long_forced_phase_is_the_exact_value():
+    # three forced pulls of two arms end past window + 1, so the first
+    # index is computed, and kept, after the bonus has stopped growing
+    inst = Instance.from_dict(DETERMINISTIC_DOC)
+    exact = expected_regret(inst, "sw_ucb", 3, 0.6, 3)
+    config = PolicyConfig("sw_ucb", forced_pulls=3, window=3)
+    for seed in (MASTER_SEED, MASTER_SEED + 1):
+        record = run_single(inst, config, seed=seed)
+        assert record.final_regret == pytest.approx(exact, rel=1e-14, abs=0.0)
+
+
 def test_round_robin_regret_is_the_direct_sum():
     # twelve forced pulls each fill all 24 rounds: no choice is left
     inst = Instance.from_dict(DOC)

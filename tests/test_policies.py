@@ -12,8 +12,8 @@ import pytest
 from srrb.curves import BernoulliLaw, BoundedUniformLaw
 from srrb.policies import (
     _LIST_ARMS,
+    _KINDS,
     POLICY_KINDS,
-    KeptIndexUCB,
     PolicyConfig,
     default_precision_scale,
     default_sw_window,
@@ -396,6 +396,12 @@ class TestDeterminism:
             resolved = config.resolve(50, BernoulliLaw())
             assert (policy.num_arms, policy.window, policy.forced_pulls) == (3, resolved.window, 2)
 
+    @pytest.mark.parametrize("window", [50, 7])
+    @pytest.mark.parametrize("kind", POLICY_KINDS)
+    def test_make_policy_builds_the_kinds_one_class(self, kind, window):
+        policy = make_policy(PolicyConfig(kind=kind, window=window), 3, 50, rng(), BernoulliLaw())
+        assert type(policy) is _KINDS[kind].cls
+
     def test_ucb1_is_sw_ucb_with_its_window(self):
         ucb1 = build("ucb1", 3, 50, ucb_alpha=0.8)
         assert type(ucb1) is type(build("sw_ucb", 3, 50))
@@ -639,8 +645,18 @@ class TestIndexCache:
         if (num_arms, window) == (15, 60):
             assert full, "no round had every window filled"
         if kind in ("ucb1", "sw_ucb"):
-            # only a window shorter than the horizon can keep its index
-            assert isinstance(policy, KeptIndexUCB) == (window < self.HORIZON)
+            # a window that fills keeps its index; a full-horizon one never can
+            if (num_arms, window) == (15, 60):
+                assert policy._kept is not None
+            assert policy._kept is None or window < self.HORIZON
+
+    def test_ucb1_default_window_never_keeps_its_index(self):
+        policy = build("ucb1", 3, self.HORIZON)
+        assert policy.window == self.HORIZON
+        reward_rng = rng(1)
+        for t in range(1, self.HORIZON + 1):
+            policy.update(policy.select_arm(t), reward_rng.random(), t)
+        assert policy._kept is None
 
     @pytest.mark.parametrize("num_arms, window, forced", [(4, 5, 3), (15, 20, 2)])
     @pytest.mark.parametrize("param", [0.6, 1])
