@@ -23,9 +23,9 @@ from . import InvalidInstanceError, __version__
 # numpy's bundled OpenBLAS starts a pool of busy-waiting threads when numpy
 # loads, yet srrb makes no multi-threaded BLAS call, so in every CLI process
 # the pool only burns a second core.  Set before any subcommand imports
-# numpy; the workers that ``run`` and ``sweep`` fork inherit the one-thread
-# library.  A value the caller set wins; ``import srrb`` leaves the
-# environment alone.
+# numpy; the workers that ``run``, ``sweep`` and ``verify`` fork inherit
+# the one-thread library.  A value the caller set wins; ``import srrb``
+# leaves the environment alone.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 # At exit the interpreter's final full collections walk every object that
 # numpy and srrb left tracked, for memory the ending process hands back
@@ -283,10 +283,12 @@ def cmd_sweep(args) -> int:
 
 def cmd_verify(args) -> int:
     from .verify import SUITES, run_suites
+    from .workers import usable_cores
 
     names = list(SUITES) if args.suite == "all" else [args.suite]
     all_ok = True
-    for suite in run_suites(names):
+    # the output does not depend on the worker count
+    for suite in run_suites(names, usable_cores()):
         for check in suite.checks:
             print(f"{suite.name}: {check.line()}")
             all_ok &= check.passed

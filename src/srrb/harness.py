@@ -3,15 +3,14 @@
 Child run seeds are derived statelessly from the master seed and the run
 index (counter-style hashing via ``numpy.random.SeedSequence``) and runs
 reduce in run-index order, so a batch is bit-for-bit the same whether its
-runs stay in the calling process or are split with ``os.fork`` children.
+runs stay in the calling process or are split with ``os.fork`` children
+(:func:`srrb.workers.run_tasks`).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-import os
-import pickle
-import signal
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -19,6 +18,7 @@ import numpy as np
 from .curves import _real
 from .instance import Instance
 from .policies import Policy, PolicyConfig, make_policy
+from .workers import run_tasks
 
 __all__ = [
     "RunRecord",
@@ -176,8 +176,9 @@ def wald_regret_bound(instance: Instance, pull_counts) -> float:
     return total
 
 
-def _checked_run(instance, stride, config, run_index, seed) -> RunRecord:
+def _checked_run(instance, stride, task) -> RunRecord:
     """One run of a batch, checked against its pull-count regret bound."""
+    config, run_index, seed = task
     record = run_single(instance, config, seed=seed, stride=stride)
     bound = wald_regret_bound(instance, record.pull_counts)
     if record.final_regret > bound + 1e-9:
@@ -188,18 +189,6 @@ def _checked_run(instance, stride, config, run_index, seed) -> RunRecord:
     return record
 
 
-def _run_share(instance, stride, tasks, worker, workers):
-    """Run every ``workers``-th task from index ``worker`` until one raises:
-    the records, and that failure's ``(task index, exception)`` or None."""
-    records = []
-    for i in range(worker, len(tasks), workers):
-        try:
-            records.append(_checked_run(instance, stride, *tasks[i]))
-        except Exception as exc:
-            return records, (i, exc)
-    return records, None
-
-
 def run_batches(
     instance: Instance, batches, parallelism: int = 1, stride: int | None = None
 ) -> list[Aggregate]:
@@ -208,13 +197,12 @@ def run_batches(
 
     Every batch's config is resolved for the instance first, so a bad one
     fails before any run starts.  All runs of all batches form one task
-    list; task ``i`` runs on worker ``i % min(parallelism, tasks)``: worker
-    0 is the caller, the others forked children (none without ``os.fork``)
-    that pipe their records back.  Run ``r`` of a batch is seeded by
-    ``child_seed(master_seed, r)`` and checked against its pull-count
-    regret bound; the call raises the failure a serial run would, and no
-    child outlives it.  Each batch reduces its runs in run-index order, so
-    parallelism never changes a result.
+    list, which :func:`srrb.workers.run_tasks` splits between the caller
+    and ``parallelism - 1`` forked children.  Run ``r`` of a batch is
+    seeded by ``child_seed(master_seed, r)`` and checked against its
+    pull-count regret bound; the call raises the failure a serial run
+    would, and no child outlives it.  Each batch reduces its runs in
+    run-index order, so parallelism never changes a result.
     """
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
@@ -225,42 +213,7 @@ def run_batches(
     # resolved once here, each run's make_policy then takes the config as it is
     batches = [(cfg.resolve(instance.horizon, laws), runs, seed) for cfg, runs, seed in batches]
     tasks = [(cfg, r, child_seed(seed, r)) for cfg, runs, seed in batches for r in range(runs)]
-    workers = min(parallelism, max(len(tasks), 1)) if hasattr(os, "fork") else 1
-    children = []  # (pid, read end of its pipe) of each forked worker not yet reaped
-    try:
-        for w in range(1, workers):
-            read_fd, write_fd = os.pipe()
-            pipe = os.fdopen(read_fd, "rb")
-            with os.fdopen(write_fd, "wb") as out:  # the parent's copy closes once forked
-                if (pid := os.fork()) == 0:  # leave by os._exit, with 0 once the share is written
-                    try:
-                        pipe.close()  # so a write fails, not blocks, if the parent is gone
-                        pickle.dump(_run_share(instance, stride, tasks, w, workers), out, -1)
-                        out.flush()
-                        os._exit(0)
-                    finally:
-                        os._exit(1)
-            children.append((pid, pipe))
-        shares = [_run_share(instance, stride, tasks, 0, workers)]
-        while children:
-            pid, pipe = children[0]
-            with pipe:
-                data = pipe.read()
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del children[0]
-            if status:
-                raise RuntimeError(f"worker {pid} exited with status {status} without its runs")
-            shares.append(pickle.loads(data))
-    except BaseException:
-        for pid, pipe in children:
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        raise
-    failures = [failure for _, failure in shares if failure]
-    if failures:
-        raise min(failures)[1]  # the lowest task index: the failure a serial run raises
-    records = [shares[i % workers][0][i // workers] for i in range(len(tasks))]
+    records = run_tasks(functools.partial(_checked_run, instance, stride), tasks, parallelism)
     aggregates, pending = [], iter(records)
     for _, runs, master_seed in batches:
         batch = [next(pending) for _ in range(runs)]

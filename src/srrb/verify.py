@@ -6,6 +6,13 @@ inequalities, Gauss-Legendre quadrature for the discrete Beta tail
 identity, and prefix-count recounts for the sliding-window bookkeeping.
 The checks import the ``distmath`` kernels they call when they run, so
 the windows suite never loads ``srrb.distmath``.
+
+The windows traces, the identities suite's Beta-tail pairs and the lemma
+chain's probability vectors are independent cases: at ``parallelism`` above
+1 they are split between the caller and forked children
+(:func:`srrb.workers.run_tasks`) and reduced in case order, so every
+check's result is the one a serial run gives.  The smaller checks run in
+the caller.
 """
 
 from __future__ import annotations
@@ -15,6 +22,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .workers import run_tasks
 
 __all__ = [
     "CheckResult",
@@ -38,6 +47,17 @@ _WINDOWS = (1, 7, 64, 2000)
 _QUADRATURE_PAIRS = 25
 # Rounds of recount rows the windows suite reads as Python lists at once.
 _WINDOWS_CHUNK = 250
+
+
+def _blocks(weights, parts: int) -> list[slice]:
+    """At most ``parts`` contiguous, non-empty slices of the cases
+    0 .. len(weights), in order and of about equal total weight."""
+    total = np.cumsum(weights)
+    if not total.size:
+        return []
+    cuts = np.searchsorted(total, total[-1] * np.arange(1, parts) / parts, "right").tolist()
+    bounds = [0, *cuts, len(weights)]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
 
 
 def _exceeds(value: float, worst: float) -> bool:
@@ -104,18 +124,31 @@ def _beta_tail_quadrature(alphas: np.ndarray, betas: np.ndarray, ys: np.ndarray)
     return dens.sum(axis=2)
 
 
-def identities_suite() -> SuiteResult:
+def _beta_tail_residuals(alphas: np.ndarray, betas: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """|beta_tail - quadrature| for the pairs (alphas[i], betas[i]) at the
+    thresholds ys, one row per pair.  ``beta_tail`` takes all the pairs in
+    one call, its elements of one (n, y) sharing a walk, and gives each
+    element the bits of a call of its own."""
+    from .distmath import beta_tail
+    oracle = np.concatenate([_beta_tail_quadrature(alphas[q : q + _QUADRATURE_PAIRS],
+                                                   betas[q : q + _QUADRATURE_PAIRS], ys)
+                             for q in range(0, alphas.size, _QUADRATURE_PAIRS)])
+    return np.abs(beta_tail(alphas[:, None], betas[:, None], ys) - oracle)
+
+
+def identities_suite(parallelism: int = 1) -> SuiteResult:
     """Discrete Beta tail against continuous quadrature, plus the binomial
-    edge identities."""
-    from .distmath import beta_tail, binomial_cdf
+    edge identities.  The Beta-tail pairs are split into one contiguous
+    block per worker, of about equal sum of alpha + beta."""
+    from .distmath import binomial_cdf
     suite = SuiteResult("identities")
 
     ys = np.arange(0.05, 0.951, 0.05)
     alphas, betas = np.repeat(np.arange(1, 51), 50), np.tile(np.arange(1, 51), 50)
-    oracle = np.concatenate([_beta_tail_quadrature(alphas[q : q + _QUADRATURE_PAIRS],
-                                                   betas[q : q + _QUADRATURE_PAIRS], ys)
-                             for q in range(0, alphas.size, _QUADRATURE_PAIRS)])
-    res = np.abs(beta_tail(alphas[:, None], betas[:, None], ys) - oracle)
+    _gauss_legendre()  # built once, before any fork
+    blocks = _blocks(alphas + betas, parallelism)
+    res = np.concatenate(run_tasks(
+        lambda block: _beta_tail_residuals(alphas[block], betas[block], ys), blocks, parallelism))
     # the worst is the first strict maximum (or the first NaN) in the order
     # (alpha, beta, y)
     at = int(np.argmax(res))
@@ -141,39 +174,52 @@ def identities_suite() -> SuiteResult:
     return suite
 
 
-def _lemma_chain_check(rng: np.random.Generator, vectors_per_j: int = 200) -> CheckResult:
-    """E[1/tail] ordering: Poisson-Binomial below the mean-matched binomial,
-    itself below every binomial with smaller success probability.
-
-    Exact enumeration over all success counts; violations measured in
-    relative terms.  Each draw's pmfs are built once and read at every
-    threshold.
-    """
+def _lemma_chain_block(vectors) -> tuple[float, str]:
+    """The worst relative margin of the lemma chain over ``vectors``, the
+    first strict maximum or the first NaN, and where it occurs."""
     from .distmath import binomial_pmf, expected_inverse_tail, pb_pmf
     worst = -math.inf
     worst_at = ""
     ys = np.arange(0.1, 0.91, 0.1)
     fracs = (0.75, 0.5, 0.25, 0.05)
-    for j in range(1, 11):
-        for _ in range(vectors_per_j):
-            probs = rng.uniform(0.02, 0.98, size=j)
-            mean = float(probs.mean())
-            pb = pb_pmf(probs)
-            mean_pmf = binomial_pmf(j, mean)
-            frac_pmfs = [binomial_pmf(j, frac * mean) for frac in fracs]
-            for y in ys:
-                e_pb = expected_inverse_tail(pb, float(y))
-                e_mean = expected_inverse_tail(mean_pmf, float(y))
-                rel = (e_pb - e_mean) / e_mean
+    for probs in vectors:
+        j = probs.size
+        mean = float(probs.mean())
+        pb = pb_pmf(probs)
+        mean_pmf = binomial_pmf(j, mean)
+        frac_pmfs = [binomial_pmf(j, frac * mean) for frac in fracs]
+        for y in ys:
+            e_pb = expected_inverse_tail(pb, float(y))
+            e_mean = expected_inverse_tail(mean_pmf, float(y))
+            rel = (e_pb - e_mean) / e_mean
+            if _exceeds(rel, worst):
+                worst, worst_at = rel, f"j={j} y={y:.1f} (pb vs mean)"
+            prev = e_mean
+            for frac, pmf in zip(fracs, frac_pmfs):
+                e_x = expected_inverse_tail(pmf, float(y))
+                rel = (prev - e_x) / e_x
                 if _exceeds(rel, worst):
-                    worst, worst_at = rel, f"j={j} y={y:.1f} (pb vs mean)"
-                prev = e_mean
-                for frac, pmf in zip(fracs, frac_pmfs):
-                    e_x = expected_inverse_tail(pmf, float(y))
-                    rel = (prev - e_x) / e_x
-                    if _exceeds(rel, worst):
-                        worst, worst_at = rel, f"j={j} y={y:.1f} x={frac:.2f}*mean"
-                    prev = e_x
+                    worst, worst_at = rel, f"j={j} y={y:.1f} x={frac:.2f}*mean"
+                prev = e_x
+    return worst, worst_at
+
+
+def _lemma_chain_check(rng: np.random.Generator, vectors_per_j: int = 200,
+                       parallelism: int = 1) -> CheckResult:
+    """E[1/tail] ordering: Poisson-Binomial below the mean-matched binomial,
+    itself below every binomial with smaller success probability.
+
+    Exact enumeration over all success counts; violations measured in
+    relative terms.  Each draw's pmfs are built once and read at every
+    threshold.  The draws are made in order here, then split into one
+    contiguous block per worker, whose worst margins reduce in block order.
+    """
+    vectors = [rng.uniform(0.02, 0.98, size=j) for j in range(1, 11) for _ in range(vectors_per_j)]
+    worst, worst_at = -math.inf, ""
+    blocks = [vectors[block] for block in _blocks(np.ones(len(vectors)), parallelism)]
+    for block_worst, block_at in run_tasks(_lemma_chain_block, blocks, parallelism):
+        if _exceeds(block_worst, worst):
+            worst, worst_at = block_worst, block_at
     return CheckResult(
         "inverse-tail expectation ordering (exact enumeration)",
         worst,
@@ -236,10 +282,11 @@ def _beta_ordering_check() -> CheckResult:
     return CheckResult("beta tail ordering in alpha/beta", float(np.max(worst)), 0.0)
 
 
-def lemmas_suite(vectors_per_j: int = 200, roos_cases: int = 500) -> SuiteResult:
+def lemmas_suite(vectors_per_j: int = 200, roos_cases: int = 500,
+                 parallelism: int = 1) -> SuiteResult:
     suite = SuiteResult("lemmas")
     rng = np.random.default_rng(_LEMMAS_SEED)
-    suite.checks.append(_lemma_chain_check(rng, vectors_per_j))
+    suite.checks.append(_lemma_chain_check(rng, vectors_per_j, parallelism))
     suite.checks.append(_roos_dominance_check(rng, roos_cases))
     suite.checks.append(_binomial_dominance_check())
     suite.checks.append(_beta_ordering_check())
@@ -270,25 +317,35 @@ def recount_window_stats(pulls, rewards, num_arms: int, window: int):
     return counts.astype(np.int64), sums
 
 
-def windows_suite(traces: int = 100) -> SuiteResult:
+def _window_traces(rng: np.random.Generator):
+    """The windows suite's trace inputs, drawn in trace order from ``rng``:
+    pulls, binary rewards and dyadic rewards, one of each per round."""
+    num_arms, horizon = _WINDOWS_ARMS, _WINDOWS_HORIZON
+    while True:
+        yield (rng.integers(0, num_arms, size=horizon),
+               rng.integers(0, 2, size=horizon).astype(float),
+               rng.integers(0, 1025, size=horizon) / 1024.0)
+
+
+def windows_suite(traces: int = 100, parallelism: int = 1) -> SuiteResult:
     """Replay random traces through each windowed policy and demand exact
     agreement between its internal statistics and the recount.
 
     Rewards are random multiples of 1/1024 so that float accumulation is
-    exact and equality is meaningful bit for bit.
+    exact and equality is meaningful bit for bit.  The traces are the
+    tasks: each worker draws every trace's inputs from the one generator,
+    in trace order, and replays only its own traces.
     """
     from .policies import PolicyConfig, make_policy
 
-    suite = SuiteResult("windows")
     num_arms, horizon = _WINDOWS_ARMS, _WINDOWS_HORIZON
-    rng = np.random.default_rng(_WINDOWS_SEED)
-    mismatches = 0
-    checked = 0
-    for trace in range(traces):
+    inputs = enumerate(_window_traces(np.random.default_rng(_WINDOWS_SEED)))
+
+    def mismatches(trace: int) -> int:
+        for drawn, (pulls, binary, dyadic) in inputs:  # past the traces other workers replay
+            if drawn == trace:
+                break
         window = _WINDOWS[trace % len(_WINDOWS)]
-        pulls = rng.integers(0, num_arms, size=horizon)
-        binary = rng.integers(0, 2, size=horizon).astype(float)
-        dyadic = rng.integers(0, 1025, size=horizon) / 1024.0
         kind = ("beta_swts", "gauss_swgts", "sw_ucb")[trace % 3]
         rewards = binary if kind == "beta_swts" else dyadic
         policy = make_policy(
@@ -302,6 +359,7 @@ def windows_suite(traces: int = 100) -> SuiteResult:
         # a chunk of rounds at a time
         live_counts, live_sums = policy.window_lists()
         pulls, rewards = pulls.tolist(), rewards.tolist()
+        count = 0
         for lo in range(0, horizon, _WINDOWS_CHUNK):
             hi = lo + _WINDOWS_CHUNK
             for t, arm, reward, counts, sums in zip(
@@ -310,14 +368,16 @@ def windows_suite(traces: int = 100) -> SuiteResult:
             ):
                 policy.update(arm, reward, t)
                 if live_counts != counts or live_sums != sums:
-                    mismatches += 1
-        checked += horizon
+                    count += 1
+        return count
+
+    suite = SuiteResult("windows")
     suite.checks.append(
         CheckResult(
             "window statistics equal recounts",
-            float(mismatches),
+            float(sum(run_tasks(mismatches, range(traces), parallelism))),
             0.0,
-            f"{checked} round-level comparisons",
+            f"{traces * horizon} round-level comparisons",
         )
     )
     return suite
@@ -330,10 +390,12 @@ SUITES = {
 }
 
 
-def run_suites(names) -> list[SuiteResult]:
+def run_suites(names, parallelism: int = 1) -> list[SuiteResult]:
+    """Each named suite's result, its independent cases split between
+    ``parallelism`` processes; the results do not depend on that number."""
     out = []
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; options: {sorted(SUITES)} or 'all'")
-        out.append(SUITES[name]())
+        out.append(SUITES[name](parallelism=parallelism))
     return out

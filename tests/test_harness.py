@@ -3,16 +3,12 @@ rested reward semantics."""
 
 import json
 import math
-import os
-import signal
-import subprocess
-import sys
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import no_child_left
 from srrb.curves import (
     BernoulliLaw,
     BoundedUniformLaw,
@@ -475,34 +471,6 @@ class TestSweepBatches:
             sweep_batches(stationary([0.6, 0.5]), PolicyConfig(kind="beta_swts"), axis, grid)
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """The pid of every child the harness forks."""
-    import srrb.harness
-
-    started = []
-    real = os.fork
-
-    def counting_fork():
-        pid = real()
-        if pid:
-            started.append(pid)
-        return pid
-
-    # srrb.harness.os is the os module: the patch holds for this test only
-    monkeypatch.setattr(srrb.harness.os, "fork", counting_fork)
-    return started
-
-
-def _no_child_left():
-    """True when this process has no child, running or unreaped."""
-    try:
-        os.waitpid(-1, os.WNOHANG)
-    except ChildProcessError:
-        return True
-    return False
-
-
 def _experiment(tmp_path, horizon=100, **fields) -> str:
     """An experiment config file on a two-armed stationary instance with
     two policies, 2 runs each."""
@@ -526,7 +494,7 @@ class TestOnePool:
         config = _experiment(tmp_path, sweep={"axis": "forced_pulls", "grid": [0, 1, 2]})
         out = tmp_path / "out"
         assert main(["sweep", "--config", config, "--out", str(out), "--threads", threads]) == 0
-        assert len(forks) == expected and _no_child_left()
+        assert len(forks) == expected and no_child_left()
 
     # two policies, 2 runs each: 4 tasks, so 8 threads fork one child per task but one
     @pytest.mark.parametrize("threads, expected", [("1", 0), ("2", 1), ("8", 3)])
@@ -534,12 +502,12 @@ class TestOnePool:
         out = tmp_path / "out"
         assert main(["run", "--config", _experiment(tmp_path), "--out", str(out),
                      "--threads", threads]) == 0
-        assert len(forks) == expected and _no_child_left()
+        assert len(forks) == expected and no_child_left()
 
     @pytest.mark.parametrize("parallelism", [1, 2])
     def test_empty_plan_has_no_aggregates_and_forks_nothing(self, forks, parallelism):
         assert run_batches(stationary([0.6, 0.5]), [], parallelism) == []
-        assert forks == [] and _no_child_left()
+        assert forks == [] and no_child_left()
 
     def test_unresolvable_sweep_point_starts_no_run_and_forks_nothing(
         self, monkeypatch, forks, tmp_path, capsys
@@ -559,103 +527,3 @@ class TestOnePool:
                 "error: bad sweep section: window 50 or forced_pulls 51 > horizon 50\n"
             )
         assert started == [] and forks == [] and not out.exists()
-
-
-# a caller that dies by SIGKILL during its first share while its child
-# runs a share larger than a pipe's buffer (stride 1 keeps every round)
-_KILLED_CALLER = """
-import os, signal
-import srrb.harness as harness
-from srrb.curves import BernoulliLaw, ConstantCurve
-from srrb.instance import Arm, Instance
-from srrb.policies import PolicyConfig
-
-caller, real = os.getpid(), harness.wald_regret_bound
-
-def bound(inst, pulls):
-    if os.getpid() == caller:
-        os.kill(caller, signal.SIGKILL)
-    return real(inst, pulls)
-
-harness.wald_regret_bound = bound
-inst = Instance([Arm(ConstantCurve(v), BernoulliLaw()) for v in (0.6, 0.5)], 10_000)
-harness.run_batch(inst, PolicyConfig(kind="ucb1"), runs=2, parallelism=2, stride=1)
-"""
-
-
-class TestWorkerFailures:
-    """A failing run raises what a serial run raises, and no child
-    outlives the call."""
-
-    def test_bound_violation_reports_the_serial_runs_error(self, monkeypatch, tmp_path, capsys):
-        import srrb.harness
-
-        config = _experiment(tmp_path, sweep={"axis": "forced_pulls", "grid": [0, 1, 2]})
-        real = srrb.harness.wald_regret_bound
-        counts = []  # the pull counts of each task, in task order
-        monkeypatch.setattr(srrb.harness, "wald_regret_bound",
-                            lambda inst, pulls: counts.append(tuple(pulls)) or real(inst, pulls))
-        assert main(["sweep", "--config", config, "--out", str(tmp_path / "serial")]) == 0
-        unique = [i for i, c in enumerate(counts) if counts.count(c) == 1]
-        # a child holds the first at 2 and at 3 workers, the caller the second
-        first = next(i for i in unique if i % 2 and i % 3)
-        second = next(i for i in unique if i > first and i % 6 == 0)
-        failing = {counts[first], counts[second]}
-        monkeypatch.setattr(srrb.harness, "wald_regret_bound",
-                            lambda inst, pulls: -1.0 if tuple(pulls) in failing
-                            else real(inst, pulls))
-
-        errors = {}
-        for threads in ("1", "2", "3"):
-            out = tmp_path / f"out{threads}"
-            assert main(["sweep", "--config", config, "--out", str(out),
-                         "--threads", threads]) == 1
-            errors[threads] = capsys.readouterr().err
-            assert not out.exists() and _no_child_left()
-        assert errors["1"].startswith(f"property violation: run {first % 2}: trajectory regret ")
-        assert errors["1"].endswith(" exceeded its pull-count bound -1.0\n")
-        assert errors["2"] == errors["1"] and errors["3"] == errors["1"]
-
-    def test_child_that_dies_mid_share_raises(self, monkeypatch):
-        import srrb.harness
-
-        caller, real = os.getpid(), srrb.harness.wald_regret_bound
-        checked = []  # each child's own copy counts its runs
-
-        def dying_bound(inst, pulls):
-            if os.getpid() != caller:
-                checked.append(pulls)
-                if len(checked) == 2:
-                    os._exit(3)
-            return real(inst, pulls)
-
-        monkeypatch.setattr(srrb.harness, "wald_regret_bound", dying_bound)
-        with pytest.raises(RuntimeError, match="exited with status 3 without its runs"):
-            run_batch(stationary([0.6, 0.5], horizon=100), PolicyConfig(kind="beta_swts"),
-                      runs=9, parallelism=3)
-        assert _no_child_left()
-
-    def test_interrupted_caller_kills_its_children(self, monkeypatch):
-        import srrb.harness
-
-        caller, real = os.getpid(), srrb.harness.wald_regret_bound
-
-        def interrupted_bound(inst, pulls):
-            if os.getpid() == caller:
-                raise KeyboardInterrupt
-            return real(inst, pulls)
-
-        monkeypatch.setattr(srrb.harness, "wald_regret_bound", interrupted_bound)
-        with pytest.raises(KeyboardInterrupt):
-            run_batch(stationary([0.6, 0.5], horizon=100), PolicyConfig(kind="beta_swts"),
-                      runs=6, parallelism=3)
-        assert _no_child_left()
-
-    def test_child_of_a_killed_caller_exits(self):
-        import srrb.harness
-
-        # the child holds the caller's output pipes, so subprocess.run returns once it exits
-        src = str(Path(srrb.harness.__file__).resolve().parents[1])
-        proc = subprocess.run([sys.executable, "-c", _KILLED_CALLER], capture_output=True,
-                              env={**os.environ, "PYTHONPATH": src}, timeout=60)
-        assert proc.returncode == -signal.SIGKILL

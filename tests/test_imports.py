@@ -97,9 +97,11 @@ class TestSubcommandImports:
           "srrb.distmath"]),
         ("verify", "srrb.verify",
          ["srrb.harness", "srrb.analytics", "srrb.constructions", "srrb.policies",
-          "srrb.instance", "srrb.curves", "fractions", "decimal"]),
+          "srrb.instance", "srrb.curves", "fractions", "decimal", "multiprocessing",
+          "concurrent.futures"]),
         ("verify-windows", "srrb.verify",
-         ["srrb.distmath", "numpy.polynomial", "fractions", "decimal"]),
+         ["srrb.harness", "srrb.distmath", "numpy.polynomial", "fractions", "decimal",
+          "multiprocessing", "concurrent.futures"]),
         ("--version", "srrb.cli", ["numpy", "srrb.instance"]),
         ("--help", "srrb.cli", ["numpy", "srrb.instance"]),
     ])
@@ -123,6 +125,9 @@ class TestSubcommandImports:
         assert result["code"] == 0
         assert runs in result["modules"]
         assert [m for m in absent if m in result["modules"]] == []
+        # the one fork layer, below both the harness and the suites
+        forking = command in ("run", "sweep", "verify", "verify-windows")
+        assert ("srrb.workers" in result["modules"]) == forking
 
 
 class TestBlasThreads:

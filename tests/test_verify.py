@@ -3,17 +3,22 @@
 import math
 
 import numpy as np
+import pytest
 
+from conftest import no_child_left
 from srrb import distmath
+from srrb.cli import main
 from srrb.policies import Policy
 from srrb.verify import (
     _beta_ordering_check,
     _beta_tail_quadrature,
     _binomial_dominance_check,
+    _blocks,
     _lemma_chain_check,
     _roos_dominance_check,
     identities_suite,
     lemmas_suite,
+    run_suites,
     windows_suite,
 )
 
@@ -180,3 +185,147 @@ class TestPlantedNaN:
         monkeypatch.setattr(Policy, "update", update)
         check = windows_suite(traces=3).checks[0]
         assert not check.passed and check.worst > 0
+
+
+def _lines(suite):
+    return [check.line() for check in suite.checks]
+
+
+# the Beta-tail pairs of the identities suite, in its order
+_ALPHAS, _BETAS = np.repeat(np.arange(1, 51), 50), np.tile(np.arange(1, 51), 50)
+
+
+class TestAnyWorkerCount:
+    """A suite's cases split between workers reduce in case order, so every
+    check gives the serial line."""
+
+    @pytest.mark.parametrize("name", ["identities", "lemmas", "windows"])
+    def test_same_lines_at_one_two_and_three_workers(self, name):
+        serial, two, three = (_lines(run_suites([name], parallelism)[0])
+                              for parallelism in (1, 2, 3))
+        assert two == serial and three == serial
+
+    @pytest.mark.parametrize("parallelism", [2, 3, 7])
+    def test_beta_tail_on_blocks_of_pairs_has_the_bits_of_the_whole_call(self, parallelism):
+        ys = np.arange(0.05, 0.951, 0.05)
+        whole = distmath.beta_tail(_ALPHAS[:, None], _BETAS[:, None], ys)
+        blocks = _blocks(_ALPHAS + _BETAS, parallelism)
+        assert len(blocks) == parallelism and blocks[-1].stop == _ALPHAS.size
+        split = np.concatenate([distmath.beta_tail(_ALPHAS[block, None], _BETAS[block, None], ys)
+                                for block in blocks])
+        assert split.tobytes() == whole.tobytes()
+
+    def test_blocks_are_contiguous_and_balanced(self):
+        assert _blocks([1] * 10, 3) == [slice(0, 3), slice(3, 6), slice(6, 10)]
+        assert _blocks([1] * 2, 5) == [slice(0, 1), slice(1, 2)]
+        assert _blocks([], 2) == []
+        assert _blocks([5, 1, 1, 1, 1, 1], 2) == [slice(0, 1), slice(1, 6)]
+
+    @pytest.mark.parametrize("suite", ["identities", "lemmas", "windows"])
+    def test_cli_splits_each_suite_across_the_usable_cores(self, monkeypatch, forks, capsys, suite):
+        import srrb.workers
+
+        monkeypatch.setattr(srrb.workers, "usable_cores", lambda: 3)
+        assert main(["verify", "--suite", suite]) == 0
+        # one split check per suite, on the caller and two children
+        assert len(forks) == 2 and no_child_left()
+        out = capsys.readouterr().out
+        assert out == "".join(f"{suite}: {line}\n" for line in _lines(run_suites([suite])[0]))
+
+
+class TestPlantedAtTwoWorkers:
+    """Each planted fault of ``TestPlantedNaN`` at two workers, placed in
+    worker 1's share where the check splits its cases, prints the serial
+    line.  The checks that stay serial run in the caller either way."""
+
+    @staticmethod
+    def _serial_lines(make):
+        serial = _lines(make(1))
+        assert _lines(make(2)) == serial
+        assert any(line.startswith("[FAIL]") for line in serial)
+        assert no_child_left()
+        return serial
+
+    def test_beta_tail_identity(self, monkeypatch):
+        # pair 1958 of 2500; worker 1 holds the pairs from 1542 on
+        assert _blocks(_ALPHAS + _BETAS, 2)[1].start <= 39 * 50 + 8
+        monkeypatch.setattr(distmath, "beta_tail", _planted(
+            distmath.beta_tail, lambda a, b, y: (a == 40) & (b == 9) & _at_half(y)))
+        lines = self._serial_lines(identities_suite)
+        assert lines[0].endswith("worst=nan (threshold 1.0e-10) at alpha=40 beta=9 y=0.50")
+
+    def test_binomial_cdf_at_zero(self, monkeypatch):
+        monkeypatch.setattr(distmath, "binomial_cdf", _planted(
+            distmath.binomial_cdf, lambda n, p, k: n == 17))
+        assert self._serial_lines(identities_suite)[1].startswith("[FAIL]")
+
+    @staticmethod
+    def _small_lemmas(parallelism):
+        return lemmas_suite(vectors_per_j=2, roos_cases=20, parallelism=parallelism)
+
+    def test_lemma_chain(self, monkeypatch):
+        # 2 vectors per j: worker 1 holds the 10 vectors of j = 6 .. 10
+        real = distmath.expected_inverse_tail
+        monkeypatch.setattr(distmath, "expected_inverse_tail", lambda pmf, y: (
+            math.nan if len(pmf) == 9 and _at_half(y) else real(pmf, y)))
+        lines = self._serial_lines(self._small_lemmas)
+        assert lines[0].endswith("worst margin at j=8 y=0.5 (pb vs mean)")
+
+    def test_lemma_chain_keeps_the_first_nan_across_workers(self, monkeypatch):
+        real = distmath.expected_inverse_tail
+        monkeypatch.setattr(distmath, "expected_inverse_tail", lambda pmf, y: (
+            math.nan if len(pmf) in (4, 9) and _at_half(y) else real(pmf, y)))
+        lines = self._serial_lines(self._small_lemmas)
+        assert lines[0].endswith("worst margin at j=3 y=0.5 (pb vs mean)")
+
+    def test_roos_dominance(self, monkeypatch):
+        real, calls = distmath.roos_tv_bound, []
+
+        def bound(probs, mu):
+            calls.append(mu)
+            return math.nan if len(calls) == 3 else real(probs, mu)
+
+        def make(parallelism):
+            calls.clear()
+            return self._small_lemmas(parallelism)
+
+        monkeypatch.setattr(distmath, "roos_tv_bound", bound)
+        assert self._serial_lines(make)[1].startswith("[FAIL] TV bound dominates exact TV: worst=nan")
+
+    def test_binomial_dominance(self, monkeypatch):
+        monkeypatch.setattr(distmath, "binomial_cdf", _planted(
+            distmath.binomial_cdf, lambda n, p, k: n == 17))
+        assert self._serial_lines(self._small_lemmas)[2].startswith("[FAIL]")
+
+    def test_beta_ordering(self, monkeypatch):
+        monkeypatch.setattr(distmath, "beta_tail", _planted(
+            distmath.beta_tail, lambda a, b, y: (a == 7) & (b == 10) & _at_half(y)))
+        assert self._serial_lines(self._small_lemmas)[3].startswith("[FAIL]")
+
+    def test_window_statistics(self, monkeypatch):
+        real = Policy.update
+
+        # only trace 1 has window 7 of the first three, and worker 1 replays it
+        def update(self, arm, reward, t):
+            real(self, arm, reward, t)
+            if t == 1000 and self.window == 7:
+                self._sums[arm] = math.nan
+
+        monkeypatch.setattr(Policy, "update", update)
+        self._serial_lines(lambda parallelism: windows_suite(traces=3, parallelism=parallelism))
+
+    def test_off_by_one_eviction(self, monkeypatch):
+        monkeypatch.setattr(Policy, "update", _update_with_shifted_eviction)
+        check = windows_suite(traces=12, parallelism=2).checks[0]
+        # the serial count of TestWindowsSuite, worker 1 holding the odd traces
+        assert check.worst == 203
+
+    def test_off_by_one_eviction_in_worker_ones_share_only(self, monkeypatch):
+        real = Policy.update
+
+        # window 7 is the window of traces 1, 5 and 9, all worker 1's at two workers
+        def update(self, arm, reward, t):
+            (_update_with_shifted_eviction if self.window == 7 else real)(self, arm, reward, t)
+
+        monkeypatch.setattr(Policy, "update", update)
+        self._serial_lines(lambda parallelism: windows_suite(traces=12, parallelism=parallelism))
