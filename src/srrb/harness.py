@@ -204,8 +204,6 @@ def run_batches(
     would, and no child outlives it.  Each batch reduces its runs in
     run-index order, so parallelism never changes a result.
     """
-    if parallelism < 1:
-        raise ValueError("parallelism must be >= 1")
     batches = list(batches)
     if any(runs < 1 for _, runs, _ in batches):
         raise ValueError("runs must be >= 1")
